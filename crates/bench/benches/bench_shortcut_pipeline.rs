@@ -23,10 +23,7 @@ use decss_graphs::algo::bfs_tree;
 use decss_graphs::{gen, Graph, VertexId};
 use decss_shortcuts::fragments::FragmentHierarchy;
 use decss_shortcuts::shortcut::{best_shortcut_ws, ShortcutQuality};
-use decss_shortcuts::{
-    naive, shortcut_two_ecss, shortcut_two_ecss_pool, ShardPool, ShortcutConfig, ShortcutWorkspace,
-    WorkspaceArena,
-};
+use decss_shortcuts::{naive, shortcut_two_ecss, ShortcutConfig, ShortcutWorkspace};
 use decss_tree::aggregates::naive::NaiveCoverEngine;
 use decss_tree::aggregates::{CoverArc, CoverEngine};
 use decss_tree::{EulerTour, HeavyLight, LcaOracle, RootedTree};
@@ -192,21 +189,11 @@ fn bench_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("shortcut_pipeline/end_to_end");
     // Seconds per iteration at 10⁵: few samples, enough for the gate.
     group.sample_size(3);
-    let nproc = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let max_pool = ShardPool::with_thread_cap(nproc, nproc);
-    println!("shortcut_pipeline/end_to_end: poolmax rows run {max_pool} ({nproc} core(s))");
     for family in FAMILIES {
         for n in END_TO_END_SIZES {
             let g = instance(family, n);
             let res = shortcut_two_ecss(&g, &ShortcutConfig::default())
                 .unwrap_or_else(|e| panic!("{family}/{n}: {e}"));
-            // The pooled rows time the same computation: byte-identity
-            // is the contract (pinned wholesale in pool_equivalence).
-            let mut arena = WorkspaceArena::for_graph(&g);
-            let pooled =
-                shortcut_two_ecss_pool(&g, &ShortcutConfig::default(), &max_pool, &mut arena)
-                    .unwrap_or_else(|e| panic!("{family}/{n}: {e}"));
-            assert_eq!(pooled.edges, res.edges, "pooled divergence on {family}/{n}");
             println!(
                 "shortcut_pipeline/end_to_end/{family}/{n}: measured-sc {}, {} rounds, \
                  {} fallbacks per iteration",
@@ -218,27 +205,6 @@ fn bench_end_to_end(c: &mut Criterion) {
                 BenchmarkId::new(format!("{family}/{n}"), "flat"),
                 &g,
                 |b, g| b.iter(|| shortcut_two_ecss(g, &ShortcutConfig::default())),
-            );
-            // pool1 vs poolmax: the pooled entry point's overhead at
-            // one worker, and what the host's cores buy end to end.
-            group.bench_with_input(
-                BenchmarkId::new(format!("{family}/{n}"), "pool1"),
-                &g,
-                |b, g| {
-                    let pool = ShardPool::sequential();
-                    b.iter(|| {
-                        shortcut_two_ecss_pool(g, &ShortcutConfig::default(), &pool, &mut arena)
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("{family}/{n}"), "poolmax"),
-                &g,
-                |b, g| {
-                    b.iter(|| {
-                        shortcut_two_ecss_pool(g, &ShortcutConfig::default(), &max_pool, &mut arena)
-                    })
-                },
             );
         }
     }

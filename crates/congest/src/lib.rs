@@ -12,18 +12,9 @@
 //! * [`Network`] — a deterministic round-by-round simulator over a
 //!   [`decss_graphs::Graph`], enforcing a per-edge, per-direction,
 //!   per-round bandwidth budget measured in `O(log n)`-bit *words*
-//!   ([`message::Word`]),
-//! * [`engine::RoundEngine`] — the execution strategy behind
-//!   [`Network::run`]: the sequential reference loop, the
-//!   multi-threaded [`engine::ShardedRounds`] executor (vertex-range
-//!   shards on scoped worker threads, counting-sort message delivery
-//!   into one contiguous inbox arena), or the adaptive
-//!   [`engine::AutoRounds`], which shards only rounds whose message
-//!   volume amortises the barrier cost — all bit-identical (same
-//!   reports, same node states, same assertions),
-//! * [`pool::ShardPool`] — a scoped-thread pool with deterministic
-//!   chunked fan-out, shared by the higher-level crates for intra-solve
-//!   parallelism (per-part BFS, per-level shortcut evaluation),
+//!   ([`message::Word`]); one sequential loop runs every round, so a
+//!   protocol's report and node states are a pure function of the graph
+//!   and the initial states,
 //! * [`metrics::SimReport`] — rounds, message and word counts, and the
 //!   maximum per-edge congestion observed,
 //! * genuine message-level protocols in [`protocols`]: BFS-tree
@@ -32,6 +23,8 @@
 //! * [`ledger::RoundLedger`] — the round-accounting device used by the
 //!   logical implementations of the paper's algorithms, whose formulas
 //!   are calibrated against the message-level protocols (Experiment E11).
+//!   The solvers charge rounds through the ledger; the simulator exists
+//!   to keep those charges honest (`tests/calibration.rs`).
 //!
 //! # Example
 //!
@@ -47,17 +40,13 @@
 //! assert!(report.rounds as u32 >= tree.depth());
 //! ```
 
-pub mod engine;
 pub mod ledger;
 pub mod message;
 pub mod metrics;
 pub mod network;
-pub mod pool;
 pub mod protocols;
 
-pub use engine::{AutoRounds, RoundEngine, ShardedRounds};
 pub use ledger::RoundLedger;
 pub use message::{Message, Word, WordVec, DEFAULT_BANDWIDTH};
 pub use metrics::SimReport;
 pub use network::{Network, NodeLogic, RoundCtx};
-pub use pool::ShardPool;

@@ -180,7 +180,7 @@ mod tests {
 
     #[test]
     fn delivery_tuples_stay_compact() {
-        // The round engines are memory-bound on delivery traffic at
+        // The round engine is memory-bound on delivery traffic at
         // 10^5 vertices; keep the in-flight tuple within 40 bytes (its
         // size before the inline-payload representation).
         assert!(std::mem::size_of::<Message>() <= 32);

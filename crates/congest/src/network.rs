@@ -1,21 +1,18 @@
 //! The synchronous round simulator.
 //!
-//! Two engines execute the same round semantics (see
-//! [`crate::engine::RoundEngine`]): the sequential reference
-//! implementation in this module and the sharded multi-threaded executor
-//! in [`crate::engine`]. Both are allocation-free in steady state —
-//! inboxes are double-buffered and reused, bandwidth accounting uses a
-//! flat per-edge vector with a touched-edge scratch list — and both
-//! produce bit-identical [`SimReport`]s and node states.
+//! One sequential engine drives every round. It is allocation-free in
+//! steady state: inboxes are double-buffered and reused, and bandwidth
+//! accounting uses a flat per-edge vector with a touched-edge scratch
+//! list. It is the reference the analytic [`crate::ledger`] formulas
+//! are calibrated against.
 
-use crate::engine::{self, RoundEngine};
 use crate::message::{Message, DEFAULT_BANDWIDTH};
 use crate::metrics::SimReport;
 use decss_graphs::{EdgeId, Graph, VertexId};
 
 /// One in-flight message: `(edge, sender, message)`, indexed by recipient
-/// in the engine's inbox buffers.
-pub(crate) type Delivery = (EdgeId, VertexId, Message);
+/// in the inbox buffers.
+type Delivery = (EdgeId, VertexId, Message);
 
 /// Behaviour of one vertex in a protocol.
 ///
@@ -35,100 +32,21 @@ pub trait NodeLogic {
     }
 }
 
-/// Tallies of the current node's sends, used by the engines to pick the
-/// accounting path: a node whose sends all came from [`RoundCtx::send_all`]
+/// Tallies of the current node's sends, used to pick the accounting
+/// path: a node whose sends all came from [`RoundCtx::send_all`]
 /// loads every incident edge uniformly, so its bandwidth check is a
 /// single comparison instead of a per-message edge-table walk.
 #[derive(Clone, Copy, Default)]
-pub(crate) struct SendTally {
+struct SendTally {
     /// Total words per edge contributed by uniform bursts.
-    pub(crate) burst_cost: u64,
+    burst_cost: u64,
     /// Messages enqueued by bursts.
-    pub(crate) burst_msgs: u64,
+    burst_msgs: u64,
     /// Words enqueued by bursts (over all edges).
-    pub(crate) burst_words: u64,
+    burst_words: u64,
     /// Messages enqueued by targeted [`RoundCtx::send`] calls; if any,
-    /// the engine falls back to exact per-edge accounting.
-    pub(crate) singles: u64,
-}
-
-/// Per-message-set tallies [`route_outbox`] folds into a report: the
-/// mutable subset of [`SimReport`] a single node's sends can affect.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct SendStats {
-    pub(crate) messages: u64,
-    pub(crate) words: u64,
-    pub(crate) max_edge_load: u64,
-}
-
-/// Validates, accounts, and routes one node's drained outbox — the
-/// single implementation both engines share, so bandwidth rules,
-/// assertion wording, and report arithmetic can never diverge between
-/// them. `deliver` is the engine-specific sink: the sequential engine
-/// pushes straight into per-recipient inboxes, the sharded engine into
-/// destination-shard buckets.
-///
-/// Two paths, identical semantics:
-/// * every send came from [`RoundCtx::send_all`] (`tally.singles == 0`):
-///   each incident edge carries exactly `burst_cost` words and incidence
-///   holds by construction, so one budget comparison covers the whole
-///   outbox;
-/// * otherwise: exact per-edge accounting on the flat `edge_load`
-///   vector, with `touched` recording which entries to reset so the next
-///   node starts clean without a per-node map allocation or an O(m) wipe.
-#[allow(clippy::too_many_arguments)] // crate-private plumbing: the engines' scratch buffers are deliberately separate locals
-pub(crate) fn route_outbox(
-    graph: &Graph,
-    bandwidth: usize,
-    me: VertexId,
-    tally: SendTally,
-    outbox: &mut Vec<Delivery>,
-    edge_load: &mut [u64],
-    touched: &mut Vec<EdgeId>,
-    stats: &mut SendStats,
-    mut deliver: impl FnMut(VertexId, Delivery),
-) {
-    if tally.singles == 0 {
-        assert!(
-            tally.burst_cost <= bandwidth as u64,
-            "bandwidth exceeded on {} by {me}: {} > {} words",
-            graph.neighbors(me)[0].0,
-            tally.burst_cost,
-            bandwidth
-        );
-        stats.messages += tally.burst_msgs;
-        stats.words += tally.burst_words;
-        stats.max_edge_load = stats.max_edge_load.max(tally.burst_cost);
-        for (e, to, msg) in outbox.drain(..) {
-            deliver(to, (e, me, msg));
-        }
-    } else {
-        for (e, to, msg) in outbox.drain(..) {
-            let edge = graph.edge(e);
-            assert!(
-                edge.has_endpoint(me) && edge.other(me) == to,
-                "{me} tried to send over non-incident edge {e} to {to}"
-            );
-            let load = &mut edge_load[e.index()];
-            if *load == 0 {
-                touched.push(e);
-            }
-            *load += msg.cost() as u64;
-            assert!(
-                *load <= bandwidth as u64,
-                "bandwidth exceeded on {e} by {me}: {} > {} words",
-                *load,
-                bandwidth
-            );
-            stats.messages += 1;
-            stats.words += msg.cost() as u64;
-            stats.max_edge_load = stats.max_edge_load.max(*load);
-            deliver(to, (e, me, msg));
-        }
-        for e in touched.drain(..) {
-            edge_load[e.index()] = 0;
-        }
-    }
+    /// the round falls back to exact per-edge accounting.
+    singles: u64,
 }
 
 /// Per-round view handed to a node.
@@ -141,8 +59,8 @@ pub struct RoundCtx<'a> {
     pub ports: &'a [(EdgeId, VertexId)],
     /// Messages delivered this round as `(edge, sender, message)`.
     pub inbox: &'a [Delivery],
-    pub(crate) outbox: &'a mut Vec<Delivery>,
-    pub(crate) tally: SendTally,
+    outbox: &'a mut Vec<Delivery>,
+    tally: SendTally,
 }
 
 impl RoundCtx<'_> {
@@ -168,17 +86,16 @@ impl RoundCtx<'_> {
 /// The simulator: owns the per-vertex node states and runs rounds until
 /// quiescence or a round cap.
 pub struct Network<'g, N> {
-    pub(crate) graph: &'g Graph,
-    pub(crate) nodes: Vec<N>,
-    pub(crate) bandwidth: usize,
-    pub(crate) engine: RoundEngine,
-    pub(crate) report: SimReport,
+    graph: &'g Graph,
+    nodes: Vec<N>,
+    bandwidth: usize,
+    report: SimReport,
     /// In-flight messages addressed per recipient for the next round.
-    pub(crate) pending: Vec<Vec<Delivery>>,
+    pending: Vec<Vec<Delivery>>,
     /// Double buffer: last round's (already consumed) inbox vectors,
     /// swapped with `pending` at each round start so their capacity is
     /// reused instead of reallocated.
-    pub(crate) inboxes: Vec<Vec<Delivery>>,
+    inboxes: Vec<Vec<Delivery>>,
     /// Per-node send scratch, drained after every `on_round` call.
     outbox: Vec<Delivery>,
     /// Flat per-edge word counts for the node currently being driven
@@ -197,7 +114,6 @@ impl<'g, N: NodeLogic> Network<'g, N> {
             graph,
             nodes,
             bandwidth: DEFAULT_BANDWIDTH,
-            engine: RoundEngine::Sequential,
             report: SimReport::default(),
             pending: vec![Vec::new(); graph.n()],
             inboxes: vec![Vec::new(); graph.n()],
@@ -213,13 +129,6 @@ impl<'g, N: NodeLogic> Network<'g, N> {
         self
     }
 
-    /// Selects the engine that [`Network::run`] executes rounds on.
-    /// Defaults to [`RoundEngine::Sequential`].
-    pub fn with_engine(mut self, engine: RoundEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Immutable access to a node's state (e.g. to read results out).
     pub fn node(&self, v: VertexId) -> &N {
         &self.nodes[v.index()]
@@ -230,13 +139,8 @@ impl<'g, N: NodeLogic> Network<'g, N> {
         self.nodes.iter().enumerate().map(|(i, n)| (VertexId(i as u32), n))
     }
 
-    /// Executes a single round on the sequential reference engine;
-    /// returns whether the round was quiescent (nothing delivered,
-    /// nothing sent, nobody wants a tick).
-    ///
-    /// [`Network::run`] honours the configured [`RoundEngine`]; `step`
-    /// always drives the reference implementation, which the sharded
-    /// executor is bit-for-bit equivalent to.
+    /// Executes a single round; returns whether the round was quiescent
+    /// (nothing delivered, nothing sent, nobody wants a tick).
     pub fn step(&mut self, round: u64) -> bool {
         let n = self.graph.n();
         // Double buffer: this round's deliveries were accumulated in
@@ -250,12 +154,6 @@ impl<'g, N: NodeLogic> Network<'g, N> {
         let any_tick = self.nodes.iter().any(|nd| nd.wants_tick());
 
         let mut sent_any = false;
-        let mut stats = SendStats {
-            messages: self.report.messages,
-            words: self.report.words,
-            max_edge_load: self.report.max_edge_load,
-        };
-        let pending = &mut self.pending;
         for v in 0..n {
             let me = VertexId(v as u32);
             let mut ctx = RoundCtx {
@@ -272,27 +170,72 @@ impl<'g, N: NodeLogic> Network<'g, N> {
                 continue;
             }
             sent_any = true;
-            route_outbox(
-                self.graph,
-                self.bandwidth,
-                me,
-                tally,
-                &mut self.outbox,
-                &mut self.edge_load,
-                &mut self.touched,
-                &mut stats,
-                |to, delivery| pending[to.index()].push(delivery),
-            );
+            self.route_outbox(me, tally);
         }
-        self.report.messages = stats.messages;
-        self.report.words = stats.words;
-        self.report.max_edge_load = stats.max_edge_load;
 
         if delivered == 0 && !sent_any && !any_tick {
             true
         } else {
             self.report.rounds += 1;
             false
+        }
+    }
+
+    /// Validates, accounts, and routes node `me`'s drained outbox into
+    /// the per-recipient `pending` inboxes.
+    ///
+    /// Two paths, identical semantics:
+    /// * every send came from [`RoundCtx::send_all`] (`tally.singles == 0`):
+    ///   each incident edge carries exactly `burst_cost` words and
+    ///   incidence holds by construction, so one budget comparison covers
+    ///   the whole outbox;
+    /// * otherwise: exact per-edge accounting on the flat `edge_load`
+    ///   vector, with `touched` recording which entries to reset so the
+    ///   next node starts clean without a per-node map allocation or an
+    ///   O(m) wipe.
+    fn route_outbox(&mut self, me: VertexId, tally: SendTally) {
+        let bandwidth = self.bandwidth as u64;
+        let report = &mut self.report;
+        if tally.singles == 0 {
+            assert!(
+                tally.burst_cost <= bandwidth,
+                "bandwidth exceeded on {} by {me}: {} > {} words",
+                self.graph.neighbors(me)[0].0,
+                tally.burst_cost,
+                bandwidth
+            );
+            report.messages += tally.burst_msgs;
+            report.words += tally.burst_words;
+            report.max_edge_load = report.max_edge_load.max(tally.burst_cost);
+            for (e, to, msg) in self.outbox.drain(..) {
+                self.pending[to.index()].push((e, me, msg));
+            }
+        } else {
+            for (e, to, msg) in self.outbox.drain(..) {
+                let edge = self.graph.edge(e);
+                assert!(
+                    edge.has_endpoint(me) && edge.other(me) == to,
+                    "{me} tried to send over non-incident edge {e} to {to}"
+                );
+                let load = &mut self.edge_load[e.index()];
+                if *load == 0 {
+                    self.touched.push(e);
+                }
+                *load += msg.cost() as u64;
+                assert!(
+                    *load <= bandwidth,
+                    "bandwidth exceeded on {e} by {me}: {} > {} words",
+                    *load,
+                    bandwidth
+                );
+                report.messages += 1;
+                report.words += msg.cost() as u64;
+                report.max_edge_load = report.max_edge_load.max(*load);
+                self.pending[to.index()].push((e, me, msg));
+            }
+            for e in self.touched.drain(..) {
+                self.edge_load[e.index()] = 0;
+            }
         }
     }
 
@@ -305,11 +248,8 @@ impl<'g, N: NodeLogic> Network<'g, N> {
     pub fn graph(&self) -> &'g Graph {
         self.graph
     }
-}
 
-impl<'g, N: NodeLogic + Send> Network<'g, N> {
-    /// Runs rounds until quiescence or `max_rounds`, on the configured
-    /// [`RoundEngine`].
+    /// Runs rounds until quiescence or `max_rounds`.
     ///
     /// Returns the metrics of the run.
     ///
@@ -318,19 +258,12 @@ impl<'g, N: NodeLogic + Send> Network<'g, N> {
     /// Panics if any vertex exceeds the bandwidth budget on an edge, or if
     /// the protocol fails to quiesce within `max_rounds` (a protocol bug).
     pub fn run(&mut self, max_rounds: u64) -> SimReport {
-        match self.engine {
-            RoundEngine::Sequential => {
-                for round in 0..max_rounds {
-                    let quiescent = self.step(round);
-                    if quiescent {
-                        return self.report;
-                    }
-                }
-                panic!("protocol did not quiesce within {max_rounds} rounds");
+        for round in 0..max_rounds {
+            if self.step(round) {
+                return self.report;
             }
-            RoundEngine::Sharded { shards } => engine::run_sharded(self, shards, max_rounds),
-            RoundEngine::Auto => engine::run_auto(self, max_rounds),
         }
+        panic!("protocol did not quiesce within {max_rounds} rounds");
     }
 }
 

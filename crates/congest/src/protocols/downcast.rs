@@ -6,7 +6,6 @@
 //! `O(log n)`-word record per segment by pipelining the `O(√n)` records
 //! down the BFS tree.
 
-use crate::engine::RoundEngine;
 use crate::message::Message;
 use crate::metrics::SimReport;
 use crate::network::{Network, NodeLogic, RoundCtx};
@@ -50,16 +49,6 @@ pub fn downcast_items(
     overlay: &TreeOverlay,
     items: &[u64],
 ) -> (Vec<Vec<u64>>, SimReport) {
-    downcast_items_with(g, overlay, items, RoundEngine::Sequential)
-}
-
-/// [`downcast_items`] on an explicit [`RoundEngine`].
-pub fn downcast_items_with(
-    g: &Graph,
-    overlay: &TreeOverlay,
-    items: &[u64],
-    engine: RoundEngine,
-) -> (Vec<Vec<u64>>, SimReport) {
     let mut net = Network::new(g, |v| DownNode {
         children: overlay.children[v.index()].clone(),
         queue: if v == overlay.root {
@@ -72,8 +61,7 @@ pub fn downcast_items_with(
         } else {
             Vec::new()
         },
-    })
-    .with_engine(engine);
+    });
     let report = net.run((2 * g.n() + 2 * items.len() + 8) as u64);
     let received = net.nodes().map(|(_, n)| n.received.clone()).collect();
     (received, report)

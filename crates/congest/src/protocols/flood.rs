@@ -7,7 +7,6 @@
 //! workload: its wall-clock is dominated by message plumbing, not by
 //! protocol logic.
 
-use crate::engine::RoundEngine;
 use crate::message::Message;
 use crate::metrics::SimReport;
 use crate::network::{Network, NodeLogic, RoundCtx};
@@ -44,13 +43,7 @@ impl NodeLogic for FloodNode {
 ///
 /// Returns the per-vertex accumulators and the metrics.
 pub fn gossip_flood(g: &Graph, bursts: u32) -> (Vec<u64>, SimReport) {
-    gossip_flood_with(g, bursts, RoundEngine::Sequential)
-}
-
-/// [`gossip_flood`] on an explicit [`RoundEngine`].
-pub fn gossip_flood_with(g: &Graph, bursts: u32, engine: RoundEngine) -> (Vec<u64>, SimReport) {
-    let mut net =
-        Network::new(g, |v| FloodNode { acc: v.0 as u64, remaining: bursts }).with_engine(engine);
+    let mut net = Network::new(g, |v| FloodNode { acc: v.0 as u64, remaining: bursts });
     let report = net.run(bursts as u64 + 4);
     let accs = net.nodes().map(|(_, n)| n.acc).collect();
     (accs, report)

@@ -6,7 +6,6 @@
 //! the coordinator of a fragment) and as another calibration point for
 //! the `O(D)` broadcast charge.
 
-use crate::engine::RoundEngine;
 use crate::message::Message;
 use crate::metrics::SimReport;
 use crate::network::{Network, NodeLogic, RoundCtx};
@@ -40,13 +39,7 @@ impl NodeLogic for LeaderNode {
 ///
 /// Returns the leader id and the metrics.
 pub fn elect_leader(g: &Graph) -> (VertexId, SimReport) {
-    elect_leader_with(g, RoundEngine::Sequential)
-}
-
-/// [`elect_leader`] on an explicit [`RoundEngine`].
-pub fn elect_leader_with(g: &Graph, engine: RoundEngine) -> (VertexId, SimReport) {
-    let mut net =
-        Network::new(g, |v| LeaderNode { best: v.0 as u64, announced: false }).with_engine(engine);
+    let mut net = Network::new(g, |v| LeaderNode { best: v.0 as u64, announced: false });
     let report = net.run(2 * g.n() as u64 + 4);
     let leader = net.node(VertexId(0)).best;
     // Everyone must agree.

@@ -5,12 +5,6 @@
 //! pipelined collection, MST), and they calibrate the round-cost
 //! formulas in [`crate::ledger`] (Experiment E11).
 
-//! Every protocol entry point comes in two flavours: the plain function
-//! runs on the sequential reference engine, and the `*_with` variant
-//! takes an explicit [`crate::engine::RoundEngine`] so callers can run
-//! the same protocol on the sharded executor (results are bit-identical;
-//! see the determinism suite in `tests/determinism.rs`).
-
 pub mod bfs;
 pub mod boruvka;
 pub mod broadcast;

@@ -12,7 +12,6 @@
 //! segment depth, not the tree height: exactly why the decomposition
 //! buys `O(√n)` instead of `O(h)`.
 
-use crate::engine::RoundEngine;
 use crate::message::Message;
 use crate::metrics::SimReport;
 use crate::network::{Network, NodeLogic, RoundCtx};
@@ -89,28 +88,6 @@ pub fn segment_convergecast(
     values: &[u64],
     op: Agg,
 ) -> (HashMap<u32, u64>, SimReport) {
-    segment_convergecast_with(
-        g,
-        parent,
-        parent_edge,
-        seg_of_edge,
-        values,
-        op,
-        RoundEngine::Sequential,
-    )
-}
-
-/// [`segment_convergecast`] on an explicit [`RoundEngine`].
-#[allow(clippy::too_many_arguments)]
-pub fn segment_convergecast_with(
-    g: &Graph,
-    parent: &[Option<VertexId>],
-    parent_edge: &[Option<EdgeId>],
-    seg_of_edge: &[u32],
-    values: &[u64],
-    op: Agg,
-    engine: RoundEngine,
-) -> (HashMap<u32, u64>, SimReport) {
     let n = g.n();
     assert!(parent.len() == n && parent_edge.len() == n && values.len() == n);
     // Children with edge segments, per vertex.
@@ -138,8 +115,7 @@ pub fn segment_convergecast_with(
             sent: false,
             results: HashMap::new(),
         }
-    })
-    .with_engine(engine);
+    });
     let report = net.run(2 * n as u64 + 4);
     let mut results: HashMap<u32, u64> = HashMap::new();
     for (_, node) in net.nodes() {

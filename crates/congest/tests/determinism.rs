@@ -1,321 +1,8 @@
-//! Engine-equivalence suite: the sharded executor must be bit-identical
-//! to the sequential reference engine — same [`SimReport`]s, same
-//! per-node final states, same protocol outputs — for every ported
-//! protocol, across random graphs and shard counts. This is the contract
-//! that lets every layer above treat `--shards` as a pure performance
-//! knob.
-//!
-//! Determinism hinges on inbox *ordering*: several protocols (BFS parent
-//! adoption, broadcast value pick-up) read `inbox.first()`, so any
-//! reordering of same-round deliveries would change results. The sharded
-//! engine merges per-shard outboxes in shard order precisely to preserve
-//! the sequential sender order; these tests would catch a violation.
+//! Contract checks on the sequential round engine that the unit tests
+//! in `src/network.rs` do not cover.
 
-use decss_congest::engine::{AutoRounds, RoundEngine};
-use decss_congest::protocols::broadcast::TreeOverlay;
-use decss_congest::protocols::convergecast::Agg;
-use decss_congest::protocols::{
-    bfs, boruvka, broadcast, convergecast, downcast, flood, label_exchange, leader, pipeline,
-    segment_scan,
-};
 use decss_congest::{Message, Network, NodeLogic, RoundCtx};
-use decss_graphs::{algo, gen, EdgeId, Graph, VertexId};
-use proptest::prelude::*;
-
-const SHARDS: [usize; 4] = [1, 2, 4, 8];
-
-/// A connected, 2-edge-connected random instance: irregular degrees,
-/// plenty of equal-distance ties for BFS to break by inbox order.
-fn random_graph() -> impl Strategy<Value = Graph> {
-    (6usize..40, 0u64..1_000).prop_map(|(n, seed)| gen::gnp_two_ec(n, 0.12, 50, seed))
-}
-
-fn overlay_of(g: &Graph) -> TreeOverlay {
-    let mst = algo::minimum_spanning_tree(g).unwrap();
-    TreeOverlay::from_edges(g, VertexId(0), &mst)
-}
-
-/// Rooted-tree arrays plus a depth-band segmentation, for segment_scan.
-fn segmentation(g: &Graph) -> (Vec<Option<VertexId>>, Vec<Option<EdgeId>>, Vec<u32>) {
-    let overlay = overlay_of(g);
-    let n = g.n();
-    let parent: Vec<Option<VertexId>> = (0..n).map(|v| overlay.parent[v].map(|(_, p)| p)).collect();
-    let parent_edge: Vec<Option<EdgeId>> =
-        (0..n).map(|v| overlay.parent[v].map(|(e, _)| e)).collect();
-    let s = (n as f64).sqrt().ceil() as u32;
-    let mut depth = vec![0u32; n];
-    let mut order = vec![VertexId(0)];
-    let mut i = 0;
-    while i < order.len() {
-        let v = order[i];
-        i += 1;
-        for &(_, c) in &overlay.children[v.index()] {
-            depth[c.index()] = depth[v.index()] + 1;
-            order.push(c);
-        }
-    }
-    let seg_of: Vec<u32> = (0..n)
-        .map(|v| {
-            if parent[v].is_none() {
-                u32::MAX
-            } else {
-                depth[v] / s
-            }
-        })
-        .collect();
-    (parent, parent_edge, seg_of)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    #[test]
-    fn bfs_is_engine_independent(g in random_graph()) {
-        let root = VertexId(1);
-        let (tree, report) = bfs::distributed_bfs(&g, root);
-        for shards in SHARDS {
-            let (t, r) = bfs::distributed_bfs_with(&g, root, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            // Parent *choices* (not just distances) must match: they are
-            // decided by inbox order.
-            prop_assert_eq!(&t.parent, &tree.parent, "{} shards", shards);
-            prop_assert_eq!(&t.parent_edge, &tree.parent_edge, "{} shards", shards);
-            prop_assert_eq!(&t.dist, &tree.dist, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn boruvka_is_engine_independent(g in random_graph()) {
-        let (edges, report) = boruvka::distributed_mst(&g);
-        for shards in SHARDS {
-            let (e, r) = boruvka::distributed_mst_with(&g, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&e, &edges, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn broadcast_is_engine_independent(g in random_graph()) {
-        let overlay = overlay_of(&g);
-        let (values, report) = broadcast::broadcast(&g, &overlay, 77);
-        for shards in SHARDS {
-            let (v, r) =
-                broadcast::broadcast_with(&g, &overlay, 77, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&v, &values, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn convergecast_is_engine_independent(g in random_graph()) {
-        let overlay = overlay_of(&g);
-        let values: Vec<u64> = (0..g.n() as u64).map(|i| i * 13 % 29).collect();
-        for op in [Agg::Sum, Agg::Min, Agg::Max, Agg::Xor] {
-            let (total, report) = convergecast::convergecast(&g, &overlay, &values, op);
-            for shards in SHARDS {
-                let (t, r) = convergecast::convergecast_with(
-                    &g, &overlay, &values, op, RoundEngine::sharded(shards),
-                );
-                prop_assert_eq!(r, report, "{} shards", shards);
-                prop_assert_eq!(t, total, "{} shards", shards);
-            }
-        }
-    }
-
-    #[test]
-    fn pipeline_is_engine_independent(g in random_graph()) {
-        let overlay = overlay_of(&g);
-        let items: Vec<Vec<u64>> =
-            (0..g.n()).map(|v| (0..(v % 4) as u64).map(|i| (v as u64) * 10 + i).collect()).collect();
-        let (got, report) = pipeline::collect_items(&g, &overlay, &items);
-        for shards in SHARDS {
-            let (c, r) =
-                pipeline::collect_items_with(&g, &overlay, &items, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&c, &got, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn segment_scan_is_engine_independent(g in random_graph()) {
-        let (parent, parent_edge, seg_of) = segmentation(&g);
-        let values: Vec<u64> = (0..g.n() as u64).map(|i| i * 7 % 23).collect();
-        let (results, report) = segment_scan::segment_convergecast(
-            &g, &parent, &parent_edge, &seg_of, &values, Agg::Sum,
-        );
-        for shards in SHARDS {
-            let (res, r) = segment_scan::segment_convergecast_with(
-                &g, &parent, &parent_edge, &seg_of, &values, Agg::Sum,
-                RoundEngine::sharded(shards),
-            );
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&res, &results, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn downcast_is_engine_independent(g in random_graph()) {
-        let overlay = overlay_of(&g);
-        let items: Vec<u64> = (0..7).collect();
-        let (received, report) = downcast::downcast_items(&g, &overlay, &items);
-        for shards in SHARDS {
-            let (rec, r) =
-                downcast::downcast_items_with(&g, &overlay, &items, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&rec, &received, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn label_exchange_is_engine_independent(g in random_graph()) {
-        let labels: Vec<Vec<u64>> = (0..g.n())
-            .map(|v| (0..(v % 5)).map(|i| (v * 100 + i) as u64).collect())
-            .collect();
-        let (received, report) = label_exchange::exchange_labels(&g, &labels);
-        for shards in SHARDS {
-            let (rec, r) =
-                label_exchange::exchange_labels_with(&g, &labels, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&rec, &received, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn leader_is_engine_independent(g in random_graph()) {
-        let (leader_v, report) = leader::elect_leader(&g);
-        for shards in SHARDS {
-            let (l, r) = leader::elect_leader_with(&g, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(l, leader_v, "{} shards", shards);
-        }
-    }
-
-    #[test]
-    fn flood_is_engine_independent(g in random_graph()) {
-        let (accs, report) = flood::gossip_flood(&g, 6);
-        for shards in SHARDS {
-            let (a, r) = flood::gossip_flood_with(&g, 6, RoundEngine::sharded(shards));
-            prop_assert_eq!(r, report, "{} shards", shards);
-            prop_assert_eq!(&a, &accs, "{} shards", shards);
-        }
-    }
-
-    /// [`RoundEngine::Auto`] may flip between the sequential loop and
-    /// sharded stretches mid-run (hysteresis on the per-round message
-    /// volume); the flips must be invisible in every protocol output.
-    #[test]
-    fn auto_engine_is_engine_independent(g in random_graph()) {
-        let root = VertexId(1);
-        let (tree, report) = bfs::distributed_bfs(&g, root);
-        let (t, r) = bfs::distributed_bfs_with(&g, root, RoundEngine::Auto);
-        prop_assert_eq!(r, report, "bfs report");
-        prop_assert_eq!(&t.parent, &tree.parent, "bfs parents");
-        prop_assert_eq!(&t.parent_edge, &tree.parent_edge, "bfs parent edges");
-        prop_assert_eq!(&t.dist, &tree.dist, "bfs distances");
-
-        let (edges, report) = boruvka::distributed_mst(&g);
-        let (e, r) = boruvka::distributed_mst_with(&g, RoundEngine::Auto);
-        prop_assert_eq!(r, report, "boruvka report");
-        prop_assert_eq!(&e, &edges, "boruvka edges");
-
-        let (accs, report) = flood::gossip_flood(&g, 6);
-        let (a, r) = flood::gossip_flood_with(&g, 6, RoundEngine::Auto);
-        prop_assert_eq!(r, report, "flood report");
-        prop_assert_eq!(&a, &accs, "flood accumulators");
-    }
-}
-
-/// A node that answers every delivery with two targeted replies: heavy
-/// `send`-path (exact per-edge accounting) traffic with per-node state.
-struct Echo {
-    seen: u64,
-    budget: u32,
-}
-
-impl NodeLogic for Echo {
-    fn on_round(&mut self, ctx: &mut RoundCtx<'_>) {
-        if ctx.round == 0 && ctx.me.0.is_multiple_of(3) {
-            ctx.send_all(&Message::new(1, [ctx.me.0 as u64]));
-            return;
-        }
-        let inbox = ctx.inbox;
-        for &(e, from, ref msg) in inbox {
-            self.seen = self.seen.wrapping_mul(31).wrapping_add(msg.words[0] ^ e.0 as u64);
-            if self.budget > 0 {
-                self.budget -= 1;
-                ctx.send(e, from, Message::new(2, [self.seen]));
-            }
-        }
-    }
-}
-
-/// Per-node *states* (not just protocol outputs) must match across all
-/// engines, including under targeted-send accounting.
-#[test]
-fn per_node_states_match_across_engines() {
-    for seed in 0..6 {
-        let g = gen::gnp_two_ec(33, 0.15, 40, seed);
-        let mut seq = Network::new(&g, |v| Echo { seen: v.0 as u64, budget: 3 });
-        let seq_report = seq.run(100);
-        for shards in SHARDS {
-            let mut net = Network::new(&g, |v| Echo { seen: v.0 as u64, budget: 3 })
-                .with_engine(RoundEngine::sharded(shards));
-            let report = net.run(100);
-            assert_eq!(report, seq_report, "seed {seed}, {shards} shards");
-            for ((v, a), (_, b)) in net.nodes().zip(seq.nodes()) {
-                assert_eq!(a.seen, b.seen, "seed {seed}, {shards} shards, vertex {v}");
-                assert_eq!(a.budget, b.budget, "seed {seed}, {shards} shards, vertex {v}");
-            }
-        }
-    }
-}
-
-/// Forced-flip Auto run: thresholds tuned so the gossip burst crosses
-/// `enter` (sharded stretch engages) and the tail falls below `exit`
-/// (control hands back to the sequential loop mid-protocol). Per-node
-/// states across the flip must match the sequential engine exactly —
-/// including the in-flight messages handed over at each boundary.
-#[test]
-fn auto_engine_flips_mid_run_without_observable_effect() {
-    for seed in 0..6 {
-        let g = gen::gnp_two_ec(33, 0.15, 40, seed);
-        let mut seq = Network::new(&g, |v| Echo { seen: v.0 as u64, budget: 3 });
-        let seq_report = seq.run(100);
-        let mut net = Network::new(&g, |v| Echo { seen: v.0 as u64, budget: 3 });
-        let report = AutoRounds::new(3).with_thresholds(24, 6).run(&mut net, 100);
-        assert_eq!(report, seq_report, "seed {seed}");
-        for ((v, a), (_, b)) in net.nodes().zip(seq.nodes()) {
-            assert_eq!(a.seen, b.seen, "seed {seed}, vertex {v}");
-            assert_eq!(a.budget, b.budget, "seed {seed}, vertex {v}");
-        }
-    }
-}
-
-/// A protocol-level bandwidth hog: the assertion must fire on the
-/// sharded engine exactly as on the sequential one, surfacing from the
-/// worker thread with the original message.
-struct Hog;
-
-impl NodeLogic for Hog {
-    fn on_round(&mut self, ctx: &mut RoundCtx<'_>) {
-        if ctx.round == 1 {
-            let (e, w) = ctx.ports[0];
-            for i in 0..8 {
-                ctx.send(e, w, Message::new(0, [i]));
-            }
-        } else if ctx.round == 0 {
-            ctx.send_all(&Message::signal(7));
-        }
-    }
-}
-
-#[test]
-#[should_panic(expected = "bandwidth exceeded")]
-fn sharded_engine_enforces_bandwidth() {
-    let g = gen::cycle(24, 1, 0);
-    let mut net = Network::new(&g, |_| Hog).with_engine(RoundEngine::sharded(4));
-    net.run(10);
-}
+use decss_graphs::gen;
 
 /// Oversending purely via `send_all` exercises the uniform-burst fast
 /// path's budget check.
@@ -338,83 +25,4 @@ fn sequential_burst_path_enforces_bandwidth() {
     let g = gen::cycle(8, 1, 0);
     let mut net = Network::new(&g, |_| BurstHog);
     net.run(10);
-}
-
-#[test]
-#[should_panic(expected = "bandwidth exceeded")]
-fn sharded_burst_path_enforces_bandwidth() {
-    let g = gen::cycle(8, 1, 0);
-    let mut net = Network::new(&g, |_| BurstHog).with_engine(RoundEngine::sharded(3));
-    net.run(10);
-}
-
-/// Sending over a non-incident edge must be rejected by a sharded worker.
-struct Liar;
-
-impl NodeLogic for Liar {
-    fn on_round(&mut self, ctx: &mut RoundCtx<'_>) {
-        if ctx.round == 0 && ctx.me == VertexId(0) {
-            ctx.send(EdgeId(2), VertexId(3), Message::signal(0));
-        }
-    }
-}
-
-#[test]
-#[should_panic(expected = "non-incident")]
-fn sharded_engine_rejects_non_incident_sends() {
-    let g = gen::cycle(6, 1, 0);
-    let mut net = Network::new(&g, |_| Liar).with_engine(RoundEngine::sharded(2));
-    net.run(10);
-}
-
-/// Multi-round chunked transfers (labels longer than a round's budget)
-/// must agree across engines.
-#[test]
-fn chunked_label_transfer_matches() {
-    let g = gen::gnp_two_ec(20, 0.2, 10, 11);
-    let labels: Vec<Vec<u64>> = (0..g.n())
-        .map(|v| (0..6).map(|i| (v * 7 + i) as u64).collect())
-        .collect();
-    let (seq, seq_report) = label_exchange::exchange_labels(&g, &labels);
-    for shards in SHARDS {
-        let (sh, r) =
-            label_exchange::exchange_labels_with(&g, &labels, RoundEngine::sharded(shards));
-        assert_eq!(r, seq_report, "{shards} shards");
-        assert_eq!(sh, seq, "{shards} shards");
-    }
-}
-
-/// A node that ships one wide (heap-spilled) message under a raised
-/// bandwidth budget; spilled payloads must survive the shard exchange.
-struct Wide {
-    got: Vec<u64>,
-}
-
-impl NodeLogic for Wide {
-    fn on_round(&mut self, ctx: &mut RoundCtx<'_>) {
-        if ctx.round == 0 {
-            let payload: Vec<u64> = (0..6).map(|i| ctx.me.0 as u64 * 100 + i).collect();
-            ctx.send_all(&Message::new(3, payload));
-        }
-        for (_, _, msg) in ctx.inbox {
-            self.got.extend(msg.words.as_slice());
-        }
-    }
-}
-
-#[test]
-fn spilled_payloads_match_across_engines() {
-    let g = gen::gnp_two_ec(18, 0.25, 10, 4);
-    let mut seq = Network::new(&g, |_| Wide { got: Vec::new() }).with_bandwidth(8);
-    let seq_report = seq.run(10);
-    for shards in SHARDS {
-        let mut net = Network::new(&g, |_| Wide { got: Vec::new() })
-            .with_bandwidth(8)
-            .with_engine(RoundEngine::sharded(shards));
-        let report = net.run(10);
-        assert_eq!(report, seq_report, "{shards} shards");
-        for ((v, a), (_, b)) in net.nodes().zip(seq.nodes()) {
-            assert_eq!(a.got, b.got, "{shards} shards, vertex {v}");
-        }
-    }
 }

@@ -150,9 +150,6 @@ struct Observed {
 }
 
 /// A well-formed single-job document the chaos mix posts to `/solve`.
-/// Deliberately no `"shards"` knob: the service echoes its worker
-/// pool's shard count in `params`, which a fresh single-threaded solve
-/// would render differently and break the byte-identity check.
 fn job_line(rng: &mut StdRng, heavy: bool) -> String {
     let algorithm = ["improved", "greedy", "shortcut"][rng.gen_range(0usize..3)];
     let n = if heavy {

@@ -23,6 +23,9 @@
 //! across worker counts, cache settings, and duplicate mixes by the
 //! stress/property suite (`tests/stress.rs`).
 //!
+//! The worker pool is the stack's only parallel layer: every solve runs
+//! on one thread, and throughput comes from running jobs side by side.
+//!
 //! ```
 //! use decss_service::{ServiceConfig, SolveService};
 //! use decss_solver::SolveRequest;

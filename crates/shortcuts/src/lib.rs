@@ -39,6 +39,10 @@
 //!   implementations, preserved for the equivalence suite and the
 //!   `bench_shortcut_pipeline` head-to-head rows.
 //!
+//! Every entry point runs on the calling thread over one
+//! [`ShortcutWorkspace`]; callers that want throughput run several
+//! solves side by side (the `decss-service` worker pool does).
+//!
 //! # Example
 //!
 //! ```
@@ -68,14 +72,10 @@ pub mod tools;
 pub mod twoecss;
 pub mod workspace;
 
-pub use decss_congest::ShardPool;
 pub use dynamic::{
     delta_fingerprint, mutate, DeltaError, DynamicInstance, GraphDelta, IncrementalStats,
 };
 pub use partition::Partition;
 pub use shortcut::{ShortcutQuality, ShortcutScheme};
-pub use twoecss::{
-    shortcut_two_ecss, shortcut_two_ecss_pool, shortcut_two_ecss_with, ShortcutConfig,
-    ShortcutResult,
-};
-pub use workspace::{ShortcutWorkspace, WorkspaceArena};
+pub use twoecss::{shortcut_two_ecss, shortcut_two_ecss_with, ShortcutConfig, ShortcutResult};
+pub use workspace::ShortcutWorkspace;

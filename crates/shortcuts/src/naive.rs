@@ -222,10 +222,9 @@ pub fn level_quality(
         .collect()
 }
 
-/// The pre-rewrite set-cover driver, preserved verbatim (modulo the pool
-/// fan-out, which was bit-identical to the sequential sweep anyway): the
-/// dense per-repetition cover probe plus full-array marked bookkeeping
-/// that [`crate::setcover::parallel_greedy_tap_pool`]'s sparse
+/// The pre-rewrite set-cover driver, preserved verbatim: the dense
+/// per-repetition cover probe plus full-array marked bookkeeping that
+/// [`crate::setcover::parallel_greedy_tap`]'s sparse
 /// virtual-tree engine replaced. The `driver_equivalence` tests pin the
 /// rewrite bit-identical to this — same chosen edges, same repetition
 /// and fallback counts, same ledger breakdown.

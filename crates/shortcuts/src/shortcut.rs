@@ -26,8 +26,7 @@
 //! `flat_equivalence` suite pins these rewrites bit-identical to them.
 
 use crate::partition::Partition;
-use crate::workspace::{ShortcutWorkspace, WorkspaceArena};
-use decss_congest::ShardPool;
+use crate::workspace::ShortcutWorkspace;
 use decss_graphs::algo::BfsTree;
 use decss_graphs::{EdgeId, Graph, VertexId};
 
@@ -160,136 +159,6 @@ pub fn tree_restricted_ws(
         beta = beta.max(part_radius_ws(g, partition, pi, Some(hi_epoch), ws));
     }
     let alpha = ws.touched.iter().map(|e| ws.eload[e.index()]).max().unwrap_or(0) + 1;
-    ShortcutQuality { alpha, beta, scheme: ShortcutScheme::TreeRestricted }
-}
-
-/// [`best_shortcut_ws`] with the per-part work fanned out over a
-/// [`ShardPool`].
-///
-/// Bit-identical to the sequential form at any pool size: each chunk
-/// of parts runs on its own arena slot (scratch state never crosses
-/// chunks and never influences output), per-part results (`β` radii,
-/// per-edge Steiner loads) are pure functions of the part, and merges
-/// are order-insensitive integer reductions (`max`, per-edge sums).
-pub fn best_shortcut_pool(
-    g: &Graph,
-    bfs: &BfsTree,
-    partition: &Partition,
-    pool: &ShardPool,
-    arena: &mut WorkspaceArena,
-) -> ShortcutQuality {
-    let a = threshold_bfs_pool(g, bfs, partition, pool, arena);
-    let b = tree_restricted_pool(g, bfs, partition, pool, arena);
-    if a.cost() <= b.cost() {
-        a
-    } else {
-        b
-    }
-}
-
-/// [`threshold_bfs_ws`] with per-part radii fanned out over `pool`.
-pub fn threshold_bfs_pool(
-    g: &Graph,
-    bfs: &BfsTree,
-    partition: &Partition,
-    pool: &ShardPool,
-    arena: &mut WorkspaceArena,
-) -> ShortcutQuality {
-    let parts = partition.len();
-    if pool.chunks(parts) <= 1 {
-        return threshold_bfs_ws(g, bfs, partition, arena.primary());
-    }
-    let threshold = (g.n() as f64).sqrt().ceil() as usize;
-    // α is closed-form (big-part count × tree presence); compute it
-    // once here so the fan-out only carries the per-part BFS radii.
-    let tree_edges = bfs.tree_edges().count() as u32;
-    let big_parts = (0..parts).filter(|&pi| partition.part(pi).len() >= threshold).count() as u32;
-    let slots = arena.slots(pool.chunks(parts), g);
-    let betas = pool.run_chunks(slots, parts, |ws, range| {
-        // Each chunk stamps the shared BFS tree into its own slot.
-        let tree_epoch = ws.bump();
-        for e in bfs.tree_edges() {
-            ws.estamp[e.index()] = tree_epoch;
-        }
-        let mut beta = 0u32;
-        for pi in range {
-            let hi_epoch = if partition.part(pi).len() >= threshold {
-                Some(tree_epoch)
-            } else {
-                None
-            };
-            beta = beta.max(part_radius_ws(g, partition, pi, hi_epoch, ws));
-        }
-        beta
-    });
-    let beta = betas.into_iter().max().unwrap_or(0);
-    let alpha = if big_parts > 0 && tree_edges > 0 {
-        big_parts + 1
-    } else {
-        1
-    };
-    ShortcutQuality { alpha, beta, scheme: ShortcutScheme::ThresholdBfs }
-}
-
-/// [`tree_restricted_ws`] with per-part Steiner unions and radii fanned
-/// out over `pool`; per-edge loads are summed across chunks on the
-/// primary slot (addition commutes, so the merge order cannot matter).
-pub fn tree_restricted_pool(
-    g: &Graph,
-    bfs: &BfsTree,
-    partition: &Partition,
-    pool: &ShardPool,
-    arena: &mut WorkspaceArena,
-) -> ShortcutQuality {
-    let parts = partition.len();
-    if pool.chunks(parts) <= 1 {
-        return tree_restricted_ws(g, bfs, partition, arena.primary());
-    }
-    let slots = arena.slots(pool.chunks(parts), g);
-    let chunk_out: Vec<(u32, Vec<(EdgeId, u32)>)> = pool.run_chunks(slots, parts, |ws, range| {
-        let load_epoch = ws.bump();
-        ws.touched.clear();
-        let mut beta = 0u32;
-        for pi in range {
-            let part = partition.part(pi);
-            let hi_epoch = steiner_into(bfs, part, ws);
-            for k in 0..ws.hi_buf.len() {
-                let e = ws.hi_buf[k].index();
-                // `steiner_into` bumps past load_epoch, but nothing else
-                // writes `lstamp`, so the accumulation stays valid — the
-                // same invariant the sequential loop relies on.
-                if ws.lstamp[e] == load_epoch {
-                    ws.eload[e] += 1;
-                } else {
-                    ws.lstamp[e] = load_epoch;
-                    ws.eload[e] = 1;
-                    ws.touched.push(ws.hi_buf[k]);
-                }
-            }
-            beta = beta.max(part_radius_ws(g, partition, pi, Some(hi_epoch), ws));
-        }
-        let loads: Vec<(EdgeId, u32)> =
-            ws.touched.iter().map(|&e| (e, ws.eload[e.index()])).collect();
-        (beta, loads)
-    });
-    let mut beta = 0u32;
-    let ws0 = arena.primary();
-    let merge_epoch = ws0.bump();
-    ws0.touched.clear();
-    for (chunk_beta, loads) in chunk_out {
-        beta = beta.max(chunk_beta);
-        for (e, load) in loads {
-            let i = e.index();
-            if ws0.lstamp[i] == merge_epoch {
-                ws0.eload[i] += load;
-            } else {
-                ws0.lstamp[i] = merge_epoch;
-                ws0.eload[i] = load;
-                ws0.touched.push(e);
-            }
-        }
-    }
-    let alpha = ws0.touched.iter().map(|e| ws0.eload[e.index()]).max().unwrap_or(0) + 1;
     ShortcutQuality { alpha, beta, scheme: ShortcutScheme::TreeRestricted }
 }
 
@@ -640,37 +509,6 @@ mod tests {
                 assert_eq!(radii.thr.len(), p.len());
                 assert_eq!(radii.tr.len(), p.len());
             }
-        }
-    }
-
-    #[test]
-    fn pooled_matches_sequential_on_a_fragment_partition() {
-        // Spot check; the full pool-size sweep lives in the
-        // pool_equivalence proptest suite.
-        let g = gen::gnp_two_ec(96, 0.06, 24, 11);
-        let tree = decss_tree::RootedTree::mst(&g);
-        let euler = decss_tree::EulerTour::new(&tree);
-        let hld = decss_tree::HeavyLight::new(&tree, &euler);
-        let h = crate::fragments::FragmentHierarchy::new(&tree, &hld);
-        let bfs = algo::bfs_tree(&g, tree.root());
-        let mut ws = ShortcutWorkspace::new(&g);
-        let mut arena = WorkspaceArena::new();
-        // Real threads even on a 1-core host (with_threads bypasses the cap).
-        let pool = ShardPool::with_threads(4, 2);
-        for d in 0..h.num_levels() {
-            let p = h.level_partition(&g, d);
-            assert_eq!(
-                threshold_bfs_pool(&g, &bfs, &p, &pool, &mut arena),
-                threshold_bfs_ws(&g, &bfs, &p, &mut ws)
-            );
-            assert_eq!(
-                tree_restricted_pool(&g, &bfs, &p, &pool, &mut arena),
-                tree_restricted_ws(&g, &bfs, &p, &mut ws)
-            );
-            assert_eq!(
-                best_shortcut_pool(&g, &bfs, &p, &pool, &mut arena),
-                best_shortcut_ws(&g, &bfs, &p, &mut ws)
-            );
         }
     }
 }

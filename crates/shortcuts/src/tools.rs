@@ -16,11 +16,10 @@
 //! round.
 
 use crate::fragments::FragmentHierarchy;
-use crate::shortcut::{best_shortcut_pool, best_shortcut_ws, ShortcutQuality};
-use crate::workspace::{ShortcutWorkspace, WorkspaceArena};
+use crate::shortcut::{best_shortcut_ws, ShortcutQuality};
+use crate::workspace::ShortcutWorkspace;
 use decss_congest::ledger::RoundLedger;
 use decss_congest::protocols::convergecast::Agg;
-use decss_congest::ShardPool;
 use decss_graphs::{algo, Graph, VertexId};
 use decss_tree::{EulerTour, HeavyLight, RootedTree};
 
@@ -60,57 +59,6 @@ impl<'a> ScTools<'a> {
                 best_shortcut_ws(graph, &bfs, &partition, ws)
             })
             .collect();
-        ScTools {
-            graph,
-            tree,
-            hld,
-            hierarchy,
-            level_quality,
-            bfs_depth: bfs.depth(),
-        }
-    }
-
-    /// [`ScTools::new_with`] with the per-level shortcut measurements
-    /// fanned out over a [`ShardPool`].
-    ///
-    /// Deep hierarchies are chunked by *level* (each chunk measures its
-    /// levels on its own arena slot; results concatenate in level
-    /// order); shallow ones fall back to per-part fan-out inside each
-    /// level via [`best_shortcut_pool`]. Either way the qualities are
-    /// bit-identical to the sequential sweep.
-    pub fn new_pooled(
-        graph: &'a Graph,
-        tree: &'a RootedTree,
-        pool: &ShardPool,
-        arena: &mut WorkspaceArena,
-    ) -> Self {
-        if pool.is_sequential() {
-            return Self::new_with(graph, tree, arena.primary());
-        }
-        let euler = EulerTour::new(tree);
-        let hld = HeavyLight::new(tree, &euler);
-        let hierarchy = FragmentHierarchy::new(tree, &hld);
-        let bfs = algo::bfs_tree(graph, tree.root());
-        let levels = hierarchy.num_levels();
-        let level_quality: Vec<ShortcutQuality> = if levels >= 2 * pool.workers() {
-            let slots = arena.slots(pool.chunks(levels), graph);
-            let chunked = pool.run_chunks(slots, levels, |ws, range| {
-                range
-                    .map(|d| {
-                        let partition = hierarchy.level_partition(graph, d);
-                        best_shortcut_ws(graph, &bfs, &partition, ws)
-                    })
-                    .collect::<Vec<_>>()
-            });
-            chunked.concat()
-        } else {
-            (0..levels)
-                .map(|d| {
-                    let partition = hierarchy.level_partition(graph, d);
-                    best_shortcut_pool(graph, &bfs, &partition, pool, arena)
-                })
-                .collect()
-        };
         ScTools {
             graph,
             tree,

@@ -1,11 +1,10 @@
 //! The public entry point of the second algorithm (Theorem 1.2):
 //! `O(log n)`-approximate weighted 2-ECSS in `Õ(SC(G) + D)` rounds.
 
-use crate::setcover::{parallel_greedy_tap, parallel_greedy_tap_pool, SetCoverConfig};
+use crate::setcover::{parallel_greedy_tap, SetCoverConfig};
 use crate::tools::ScTools;
-use crate::workspace::{ShortcutWorkspace, WorkspaceArena};
+use crate::workspace::ShortcutWorkspace;
 use decss_congest::ledger::RoundLedger;
-use decss_congest::ShardPool;
 use decss_graphs::{algo, EdgeId, Graph, Weight};
 use decss_tree::RootedTree;
 use std::fmt;
@@ -114,61 +113,6 @@ pub fn shortcut_two_ecss_with(
     ledger.charge("sc.mst", tools.pass_cost());
     let cover = parallel_greedy_tap(&tools, &config.setcover, &mut ledger, ws)
         .ok_or(NotTwoEdgeConnected)?;
-
-    let mst_edges: Vec<EdgeId> = g.edge_ids().filter(|&e| tree.is_tree_edge(e)).collect();
-    let mst_weight = g.weight_of(mst_edges.iter().copied());
-    let mut edges = mst_edges;
-    edges.extend(cover.chosen.iter().copied());
-    edges.sort_unstable();
-    debug_assert!(algo::two_edge_connected_in(g, edges.iter().copied()));
-    Ok(ShortcutResult {
-        edges,
-        mst_weight,
-        augmentation_weight: cover.weight,
-        measured_sc: tools.measured_sc(),
-        level_quality: tools.level_quality.clone(),
-        pass_cost: tools.pass_cost(),
-        ledger,
-        repetitions: cover.repetitions,
-        fallbacks: cover.fallbacks,
-    })
-}
-
-/// [`shortcut_two_ecss_with`] with intra-solve parallelism: the
-/// per-part/per-level shortcut measurements and the pure per-candidate
-/// set-cover maps fan out over `pool`, each chunk on its own `arena`
-/// slot.
-///
-/// **Determinism contract:** for any pool (any worker or thread count,
-/// including oversubscribed ones) and any arena state, the returned
-/// [`ShortcutResult`] is bit-identical to the sequential
-/// [`shortcut_two_ecss_with`] — same edges in the same order, same
-/// weights, same per-level qualities, same repetition and fallback
-/// counts. The `pool_equivalence` proptest suite pins this.
-///
-/// # Errors
-///
-/// Returns [`NotTwoEdgeConnected`] if no augmentation exists.
-pub fn shortcut_two_ecss_pool(
-    g: &Graph,
-    config: &ShortcutConfig,
-    pool: &ShardPool,
-    arena: &mut WorkspaceArena,
-) -> Result<ShortcutResult, NotTwoEdgeConnected> {
-    if pool.is_sequential() {
-        return shortcut_two_ecss_with(g, config, arena.primary());
-    }
-    if !algo::is_two_edge_connected(g) {
-        return Err(NotTwoEdgeConnected);
-    }
-    let tree = RootedTree::mst(g);
-    arena.primary().ensure(g);
-    let tools = ScTools::new_pooled(g, &tree, pool, arena);
-    let mut ledger = RoundLedger::new();
-    ledger.charge("sc.mst", tools.pass_cost());
-    let cover =
-        parallel_greedy_tap_pool(&tools, &config.setcover, &mut ledger, pool, arena.primary())
-            .ok_or(NotTwoEdgeConnected)?;
 
     let mst_edges: Vec<EdgeId> = g.edge_ids().filter(|&e| tree.is_tree_edge(e)).collect();
     let mst_weight = g.weight_of(mst_edges.iter().copied());

@@ -110,67 +110,6 @@ impl ShortcutWorkspace {
     }
 }
 
-/// A bank of [`ShortcutWorkspace`] slots for pooled solves.
-///
-/// A pooled shortcut pipeline splits its work (parts, levels) into
-/// chunks, and every chunk needs its *own* epoch-stamped scratch —
-/// stamps from two chunks must never share an array. The arena owns one
-/// slot per potential chunk, grown on demand and reused across solves
-/// (a dirty slot is fine: every user starts with an epoch bump).
-///
-/// Slot 0 is the **primary** slot: sequential code paths (and all
-/// merge steps) run on it, so a pool of one worker touches exactly the
-/// same scratch a plain [`ShortcutWorkspace`] caller would.
-#[derive(Clone, Debug, Default)]
-pub struct WorkspaceArena {
-    slots: Vec<ShortcutWorkspace>,
-}
-
-impl WorkspaceArena {
-    /// An empty arena; slots materialise on first use.
-    pub fn new() -> Self {
-        WorkspaceArena::default()
-    }
-
-    /// An arena whose primary slot is pre-sized for `g`.
-    pub fn for_graph(g: &Graph) -> Self {
-        let mut arena = WorkspaceArena::default();
-        arena.primary().ensure(g);
-        arena
-    }
-
-    /// The primary (slot 0) workspace, creating it if needed.
-    pub fn primary(&mut self) -> &mut ShortcutWorkspace {
-        if self.slots.is_empty() {
-            self.slots.push(ShortcutWorkspace::default());
-        }
-        &mut self.slots[0]
-    }
-
-    /// The first `k` slots, each grown to fit `g`, for use as per-chunk
-    /// scratch in a pooled fan-out.
-    pub fn slots(&mut self, k: usize, g: &Graph) -> &mut [ShortcutWorkspace] {
-        let k = k.max(1);
-        if self.slots.len() < k {
-            self.slots.resize_with(k, ShortcutWorkspace::default);
-        }
-        for ws in &mut self.slots[..k] {
-            ws.ensure(g);
-        }
-        &mut self.slots[..k]
-    }
-
-    /// Number of materialised slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no slot has materialised yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,24 +134,6 @@ mod tests {
         ws.ensure(&big);
         assert!(ws.vstamp.len() >= big.n());
         assert!(ws.estamp.len() >= big.m());
-    }
-
-    #[test]
-    fn arena_slots_grow_and_primary_is_slot_zero() {
-        let g = gen::grid(4, 4, 3, 0);
-        let mut arena = WorkspaceArena::new();
-        assert!(arena.is_empty());
-        arena.primary().ensure(&g);
-        assert_eq!(arena.len(), 1);
-        let slots = arena.slots(4, &g);
-        assert_eq!(slots.len(), 4);
-        for ws in slots.iter() {
-            assert!(ws.vstamp.len() >= g.n());
-        }
-        assert_eq!(arena.len(), 4);
-        // Growing to fewer slots keeps the existing ones.
-        assert_eq!(arena.slots(2, &g).len(), 2);
-        assert_eq!(arena.len(), 4);
     }
 
     #[test]

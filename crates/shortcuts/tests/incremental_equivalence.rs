@@ -8,19 +8,19 @@
 //! stops being 2-edge-connected (both sides must then agree on the
 //! error, and a later repairing batch must land back on equality).
 //!
-//! The fresh side runs on one `WorkspaceArena` reused dirty across every
+//! The fresh side runs on one `ShortcutWorkspace` reused dirty across every
 //! step and every proptest case (exactly how a live `SolverSession`
 //! drives it), so the suite also proves the incremental path never
 //! depends on clean scratch.
 //!
-//! Run under `--release` in CI (like `pool_equivalence`); the `*_at_2048`
+//! Run under `--release` in CI (like `flat_equivalence`); the `*_at_2048`
 //! test is `#[ignore]`d so the debug-mode tier-1 run stays fast.
 
 use decss_graphs::fingerprint::graph_fingerprint;
 use decss_graphs::{gen, EdgeId, Graph, VertexId};
 use decss_shortcuts::{
     mutate, shortcut_two_ecss_with, DeltaError, DynamicInstance, GraphDelta, ShortcutConfig,
-    ShortcutResult, WorkspaceArena,
+    ShortcutResult, ShortcutWorkspace,
 };
 use proptest::prelude::*;
 
@@ -131,11 +131,11 @@ fn check_step(
     inst: &mut DynamicInstance,
     batch: &[GraphDelta],
     config: &ShortcutConfig,
-    fresh_arena: &mut WorkspaceArena,
+    fresh_ws: &mut ShortcutWorkspace,
     what: &str,
 ) {
     let mutated = mutate(inst.graph(), batch).expect("generated batches are valid");
-    let fresh = shortcut_two_ecss_with(&mutated, config, fresh_arena.primary());
+    let fresh = shortcut_two_ecss_with(&mutated, config, fresh_ws);
     let inc = inst.apply(batch, config);
     assert_eq!(inst.graph(), &mutated, "{what}: the mutation must commit either way");
     assert_eq!(
@@ -170,12 +170,12 @@ proptest! {
         let config = ShortcutConfig::default();
         let g = instance(FAMILIES[family], n, seed);
         let mut inst = DynamicInstance::new(g);
-        let mut arena = WorkspaceArena::new();
+        let mut ws = ShortcutWorkspace::default();
         let mut rng = Rng(seed ^ 0xD1DA);
         for step in 0..4 {
             let len = 1 + rng.below(5);
             let batch = random_batch(inst.graph(), &mut rng, len, true);
-            check_step(&mut inst, &batch, &config, &mut arena, &format!("step {step}"));
+            check_step(&mut inst, &batch, &config, &mut ws, &format!("step {step}"));
         }
     }
 
@@ -191,12 +191,12 @@ proptest! {
         let config = ShortcutConfig::default();
         let g = instance(FAMILIES[family], n, seed);
         let mut inst = DynamicInstance::new(g);
-        let mut arena = WorkspaceArena::new();
+        let mut ws = ShortcutWorkspace::default();
         let mut rng = Rng(seed ^ 0x5EED);
         for step in 0..4 {
             let len = 1 + rng.below(8);
             let batch = random_batch(inst.graph(), &mut rng, len, false);
-            check_step(&mut inst, &batch, &config, &mut arena, &format!("reweight step {step}"));
+            check_step(&mut inst, &batch, &config, &mut ws, &format!("reweight step {step}"));
         }
     }
 
@@ -217,9 +217,9 @@ proptest! {
         let batch = vec![GraphDelta::Insert { u, v, weight: 0 }];
         let mutated = mutate(&g, &batch).unwrap();
         let mut inst = DynamicInstance::new(g);
-        let mut arena = WorkspaceArena::new();
+        let mut ws = ShortcutWorkspace::default();
         let fresh =
-            shortcut_two_ecss_with(&mutated, &config, arena.primary()).expect("insert keeps 2EC");
+            shortcut_two_ecss_with(&mutated, &config, &mut ws).expect("insert keeps 2EC");
         let (inc, stats) = inst.apply(&batch, &config).expect("insert keeps 2EC");
         prop_assert!(stats.fell_back, "a new global-minimum edge must flip the tree");
         assert_same(&fresh, &inc, "forced fallback");
@@ -232,7 +232,7 @@ proptest! {
 #[test]
 fn disconnecting_batches_error_and_repair_like_fresh() {
     let config = ShortcutConfig::default();
-    let mut arena = WorkspaceArena::new();
+    let mut ws = ShortcutWorkspace::default();
     for family in FAMILIES {
         let g = instance(family, 64, 11);
         // Delete every edge at vertex 0 except its first port: vertex 0
@@ -248,14 +248,14 @@ fn disconnecting_batches_error_and_repair_like_fresh() {
             .collect();
         assert!(!cut.is_empty(), "{family}: vertex 0 must have degree >= 2");
         let mut inst = DynamicInstance::new(g);
-        check_step(&mut inst, &cut, &config, &mut arena, &format!("{family}: cut"));
+        check_step(&mut inst, &cut, &config, &mut ws, &format!("{family}: cut"));
         // Repair: ring vertex 0 back in with two fresh parallel routes.
         let n = inst.graph().n() as u32;
         let repair = vec![
             GraphDelta::Insert { u: VertexId(0), v: VertexId(n / 2), weight: 3 },
             GraphDelta::Insert { u: VertexId(0), v: VertexId(n - 1), weight: 5 },
         ];
-        check_step(&mut inst, &repair, &config, &mut arena, &format!("{family}: repair"));
+        check_step(&mut inst, &repair, &config, &mut ws, &format!("{family}: repair"));
     }
 }
 
@@ -266,20 +266,14 @@ fn disconnecting_batches_error_and_repair_like_fresh() {
 #[ignore = "large instance; run in release CI via --include-ignored"]
 fn random_update_sequences_match_fresh_at_2048() {
     let config = ShortcutConfig::default();
-    let mut arena = WorkspaceArena::new();
+    let mut ws = ShortcutWorkspace::default();
     for family in FAMILIES {
         let g = instance(family, 2048, 7);
         let mut inst = DynamicInstance::new(g);
         let mut rng = Rng(0x2048 ^ family.len() as u64);
         for (step, len) in [1usize, 16, 64, 16, 1].into_iter().enumerate() {
             let batch = random_batch(inst.graph(), &mut rng, len, true);
-            check_step(
-                &mut inst,
-                &batch,
-                &config,
-                &mut arena,
-                &format!("{family} step {step}"),
-            );
+            check_step(&mut inst, &batch, &config, &mut ws, &format!("{family} step {step}"));
         }
     }
 }

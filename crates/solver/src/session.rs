@@ -156,9 +156,7 @@ impl SolverSession {
                 *e = surviving[e.index()];
             }
         }
-        // Echo the *effective* pool (post core-cap clamping) next to the
-        // requested knobs, so a report shows what actually ran.
-        report.params = format!("{} pool={}", req.params_echo(), self.cx.pool());
+        report.params = req.params_echo();
         report.n = instance.n();
         report.m = instance.m();
         report.bandwidth = req.bandwidth;
@@ -199,7 +197,7 @@ impl SolverSession {
                 let mut report = shortcut_report(res, req);
                 report.valid =
                     algo::two_edge_connected_in(inst.graph(), report.edges.iter().copied());
-                report.params = format!("{} pool={}", req.params_echo(), self.cx.pool());
+                report.params = req.params_echo();
                 report.n = inst.graph().n();
                 report.m = inst.graph().m();
                 report.bandwidth = req.bandwidth;
@@ -329,23 +327,6 @@ mod tests {
         assert!(report.rounds.unwrap() > 0);
         assert!(report.wall_ms >= 0.0);
         assert!(report.params.contains("epsilon=0.25"));
-        assert!(report.params.contains("pool=1w/1t"), "{}", report.params);
-    }
-
-    #[test]
-    fn shards_hint_changes_no_result_and_is_echoed() {
-        let g = gen::grid(8, 8, 20, 7);
-        let mut seq_session = SolverSession::new();
-        let mut pooled_session = SolverSession::new();
-        let seq = seq_session.solve(&g, &SolveRequest::new("shortcut").seed(3)).unwrap();
-        let pooled = pooled_session
-            .solve(&g, &SolveRequest::new("shortcut").seed(3).shards(4))
-            .unwrap();
-        assert_eq!(seq.edges, pooled.edges);
-        assert_eq!(seq.weight, pooled.weight);
-        assert_eq!(seq.level_quality, pooled.level_quality);
-        assert!(pooled.params.contains("shards=4"), "{}", pooled.params);
-        assert!(pooled.params.contains("pool=4w/"), "{}", pooled.params);
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //!
 //! ```text
 //! decss solve      --input net.graph [--algorithm NAME] [--epsilon 0.25] [--seed S]
-//!                  [--bandwidth B] [--fail-edges K] [--shards K] [--deadline-ms MS]
+//!                  [--bandwidth B] [--fail-edges K] [--deadline-ms MS]
 //!                  [--deltas "rw(3,9),del(5),ins(2,9,4)"] [--trace summary|full] [--json]
 //! decss algorithms [--names]                                    # list the solver registry
 //! decss gen        --family grid --n 100 --seed 7 [--max-weight 64]  # writes the format to stdout
 //! decss verify     --input net.graph --edges 0,3,7,...          # check a 2-ECSS
-//! decss simulate   --input net.graph --protocol bfs [--shards 8|auto] [--root 0] [--bursts 8]
+//! decss simulate   --input net.graph --protocol bfs [--root 0] [--bursts 8]
 //! decss scenario   --families grid,hard-sqrt --sizes 1000,10000 [--seeds 0,1] \
 //!                  [--algorithms shortcut,improved] [--epsilon 0.25] [--max-weight 64] \
-//!                  [--bandwidth B] [--fail-edges K] [--shards K] [--workers K] \
+//!                  [--bandwidth B] [--fail-edges K] [--workers K] \
 //!                  [--cache-cap N] [--out runs.json]
 //! decss serve      --jobs jobs.json [--workers K] [--cache-cap N] [--queue-cap N] \
 //!                  [--out reports.json] [--keep-going]
@@ -43,13 +43,17 @@
 //! network tier's chaos harness on a self-hosted server and fails on any
 //! contract violation.
 //!
+//! Every subcommand rejects flags it does not know, with the usage text.
+//!
 //! Exit codes: `0` — success (or partial failure under `--keep-going`);
 //! `2` — the batch completed but some jobs failed (the document still
 //! covers the whole batch); `1` — infrastructure error (bad flags,
-//! unreadable files, a failed drain audit, chaos violations).
+//! unreadable files, a failed drain audit, chaos violations); `141` —
+//! stdout was closed early (e.g. piped into `head`), the status a tool
+//! killed by `SIGPIPE` reports.
 
 use decss::congest::protocols::{bfs, boruvka, flood, leader};
-use decss::congest::{RoundEngine, SimReport};
+use decss::congest::SimReport;
 use decss::graphs::{algo, io, EdgeId, Graph, VertexId};
 use decss::net::jobs::{self, FileAccess};
 use decss::net::trace::{self, Arrival, GenConfig, ReplayConfig};
@@ -58,9 +62,31 @@ use decss::net::{
 };
 use decss::service::{ServiceConfig, SolveService};
 use decss::solver::{SolveReport, SolveRequest, SolverSession, TraceLevel};
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
+
+/// `print!` to stdout that exits quietly (status 141) when the reader
+/// has gone away, instead of panicking on `EPIPE`.
+macro_rules! out {
+    ($($arg:tt)*) => { emit(format_args!($($arg)*)) };
+}
+
+/// `println!` counterpart of [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => { emit(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+fn emit(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(141);
+        }
+        eprintln!("error: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -70,12 +96,12 @@ fn main() -> ExitCode {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("usage:");
-            eprintln!("  decss solve      --input FILE [--algorithm NAME] [--epsilon E] [--seed S] [--bandwidth B] [--fail-edges K] [--shards K] [--deadline-ms MS] [--deltas LIST] [--trace summary|full] [--json]");
+            eprintln!("  decss solve      --input FILE [--algorithm NAME] [--epsilon E] [--seed S] [--bandwidth B] [--fail-edges K] [--deadline-ms MS] [--deltas LIST] [--trace summary|full] [--json]");
             eprintln!("  decss algorithms [--names]");
             eprintln!("  decss gen        --family NAME --n N [--seed S] [--max-weight W]");
             eprintln!("  decss verify     --input FILE --edges ID[,ID...]");
-            eprintln!("  decss simulate   --input FILE --protocol flood|bfs|leader|mst [--shards K|auto] [--root R] [--bursts B]");
-            eprintln!("  decss scenario   --families F[,F...] --sizes N[,N...] [--seeds S[,S...]] [--algorithms NAME[,...]] [--epsilon E] [--max-weight W] [--bandwidth B] [--fail-edges K] [--shards K] [--workers K] [--cache-cap N] [--out FILE]");
+            eprintln!("  decss simulate   --input FILE --protocol flood|bfs|leader|mst [--root R] [--bursts B]");
+            eprintln!("  decss scenario   --families F[,F...] --sizes N[,N...] [--seeds S[,S...]] [--algorithms NAME[,...]] [--epsilon E] [--max-weight W] [--bandwidth B] [--fail-edges K] [--workers K] [--cache-cap N] [--out FILE]");
             eprintln!("  decss serve      --jobs FILE.json [--workers K] [--cache-cap N] [--queue-cap N] [--out FILE] [--keep-going] [--restore PATH] [--snapshot PATH]");
             eprintln!("  decss serve      --trace FILE.jsonl [--workers K] [--cache-cap N] [--queue-cap N] [--pace] [--out FILE]");
             eprintln!("  decss trace      gen [--seed S] [--jobs N] [--arrival poisson|bursty] [--mean-gap-ms MS] [--out FILE]");
@@ -85,7 +111,9 @@ fn main() -> ExitCode {
             eprintln!("  decss netstress  [--seed S] [--ops N] [--threads K] [--workers K] [--queue-cap N] [--faults]");
             eprintln!();
             eprintln!("run `decss algorithms` for the solver registry NAMEs.");
-            eprintln!("exit codes: 0 ok, 2 some jobs failed, 1 infrastructure error.");
+            eprintln!(
+                "exit codes: 0 ok, 2 some jobs failed, 1 infrastructure error, 141 stdout closed."
+            );
             ExitCode::from(1)
         }
     }
@@ -97,6 +125,30 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .and_then(|i| args.get(i + 1))
         .map(|s| s.as_str())
 }
+
+/// Rejects any argument of `args` that is not one of the subcommand's
+/// `valued` flags (each followed by its value) or `switches`.
+fn known_flags(args: &[String], valued: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut i = 0;
+    while i < args.len() {
+        let arg = args[i].as_str();
+        if valued.contains(&arg) {
+            i += 2;
+        } else if switches.contains(&arg) {
+            i += 1;
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown flag {arg}"));
+        } else {
+            return Err(format!("unexpected argument {arg:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// The request knobs `solve` and `scenario` share (see
+/// [`request_from_flags`]).
+const REQUEST_FLAGS: [&str; 5] =
+    ["--epsilon", "--bandwidth", "--fail-edges", "--deadline-ms", "--trace"];
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String> {
     match flag(args, name) {
@@ -137,8 +189,7 @@ fn request_from_flags(args: &[String], algorithm: &str) -> Result<SolveRequest, 
     let mut req = SolveRequest::new(algorithm)
         .epsilon(parse_flag(args, "--epsilon", 0.25)?)
         .bandwidth(parse_flag(args, "--bandwidth", 1u32)?)
-        .fail_edges(parse_flag(args, "--fail-edges", 0u32)?)
-        .shards(parse_flag(args, "--shards", 0usize)?);
+        .fail_edges(parse_flag(args, "--fail-edges", 0u32)?);
     if let Some(seed) = flag(args, "--seed") {
         req = req.seed(seed.parse().map_err(|_| format!("bad --seed {seed}"))?);
     }
@@ -156,6 +207,8 @@ fn request_from_flags(args: &[String], algorithm: &str) -> Result<SolveRequest, 
 }
 
 fn solve(args: &[String]) -> Result<ExitCode, String> {
+    let valued = [&REQUEST_FLAGS[..], &["--input", "--algorithm", "--seed", "--deltas"]].concat();
+    known_flags(args, &valued, &["--json"])?;
     let g = load(args)?;
     let algorithm = flag(args, "--algorithm").unwrap_or("improved");
     let mut req = request_from_flags(args, algorithm)?;
@@ -165,9 +218,9 @@ fn solve(args: &[String]) -> Result<ExitCode, String> {
     let mut session = SolverSession::new();
     let report = session.solve(&g, &req).map_err(|e| e.to_string())?;
     if args.iter().any(|a| a == "--json") {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
-        print!("{}", report.render_text());
+        out!("{}", report.render_text());
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -176,40 +229,27 @@ fn solve(args: &[String]) -> Result<ExitCode, String> {
 /// `--names` prints bare names only (one per line; CI drives the
 /// registry-wide smoke test with it).
 fn algorithms(args: &[String]) -> Result<ExitCode, String> {
+    known_flags(args, &[], &["--names"])?;
     let session = SolverSession::new();
     if args.iter().any(|a| a == "--names") {
         for name in session.registry().names() {
-            println!("{name}");
+            outln!("{name}");
         }
     } else {
-        println!("registered algorithms (decss solve --algorithm NAME):");
+        outln!("registered algorithms (decss solve --algorithm NAME):");
         for solver in session.registry().solvers() {
-            println!("  {:<16} {}", solver.name(), solver.description());
+            outln!("  {:<16} {}", solver.name(), solver.description());
         }
     }
     Ok(ExitCode::SUCCESS)
 }
 
-/// Runs a message-level protocol on the round simulator and prints the
-/// metrics. `--shards K` selects the multi-threaded sharded engine and
-/// `--shards auto` the adaptive one, which shards only rounds whose
-/// message volume amortises the barrier cost (bit-identical results
-/// either way; pure performance knobs on multicore hosts).
+/// Runs a message-level protocol on the sequential round simulator and
+/// prints the metrics.
 fn simulate(args: &[String]) -> Result<ExitCode, String> {
+    known_flags(args, &["--input", "--protocol", "--root", "--bursts"], &[])?;
     let g = load(args)?;
     let protocol = flag(args, "--protocol").ok_or("--protocol NAME is required")?;
-    let engine = match flag(args, "--shards") {
-        None | Some("0") => RoundEngine::Sequential,
-        Some("auto") => RoundEngine::Auto,
-        Some(s) => {
-            let shards: usize = s.parse().map_err(|_| format!("bad --shards {s}"))?;
-            if shards == 0 {
-                RoundEngine::Sequential
-            } else {
-                RoundEngine::sharded(shards)
-            }
-        }
-    };
     let root: u32 = parse_flag(args, "--root", 0)?;
     if root as usize >= g.n() {
         return Err(format!("--root {root} out of range (n = {})", g.n()));
@@ -219,20 +259,20 @@ fn simulate(args: &[String]) -> Result<ExitCode, String> {
     let start = std::time::Instant::now();
     let (summary, report): (String, SimReport) = match protocol {
         "flood" => {
-            let (accs, report) = flood::gossip_flood_with(&g, bursts, engine);
+            let (accs, report) = flood::gossip_flood(&g, bursts);
             let digest = accs.iter().fold(0u64, |a, &b| a.rotate_left(1) ^ b);
             (format!("flood digest: {digest:#018x}"), report)
         }
         "bfs" => {
-            let (tree, report) = bfs::distributed_bfs_with(&g, VertexId(root), engine);
+            let (tree, report) = bfs::distributed_bfs(&g, VertexId(root));
             (format!("bfs depth: {}", tree.depth()), report)
         }
         "leader" => {
-            let (leader_v, report) = leader::elect_leader_with(&g, engine);
+            let (leader_v, report) = leader::elect_leader(&g);
             (format!("leader: {leader_v}"), report)
         }
         "mst" => {
-            let (edges, report) = boruvka::distributed_mst_with(&g, engine);
+            let (edges, report) = boruvka::distributed_mst(&g);
             (
                 format!(
                     "mst edges: {} (weight {})",
@@ -249,12 +289,11 @@ fn simulate(args: &[String]) -> Result<ExitCode, String> {
         }
     };
     let elapsed = start.elapsed();
-    println!("protocol: {protocol}");
-    println!("engine: {engine}");
-    println!("{summary}");
-    println!("report: {report}");
-    println!("wall-clock: {:.3} ms", elapsed.as_secs_f64() * 1e3);
-    println!(
+    outln!("protocol: {protocol}");
+    outln!("{summary}");
+    outln!("report: {report}");
+    outln!("wall-clock: {:.3} ms", elapsed.as_secs_f64() * 1e3);
+    outln!(
         "rounds/sec: {:.0}",
         report.rounds as f64 / elapsed.as_secs_f64().max(1e-9)
     );
@@ -262,6 +301,7 @@ fn simulate(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn generate(args: &[String]) -> Result<ExitCode, String> {
+    known_flags(args, &["--family", "--n", "--seed", "--max-weight"], &[])?;
     let family = flag(args, "--family").ok_or("--family NAME is required")?;
     let n: usize = flag(args, "--n")
         .ok_or("--n N is required")?
@@ -270,7 +310,7 @@ fn generate(args: &[String]) -> Result<ExitCode, String> {
     let seed: u64 = parse_flag(args, "--seed", 0)?;
     let w: u64 = parse_flag(args, "--max-weight", 64)?;
     let g = jobs::instance_by_label(family, n, w, seed)?;
-    print!("{}", io::format_graph(&g));
+    out!("{}", io::format_graph(&g));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -285,6 +325,17 @@ fn generate(args: &[String]) -> Result<ExitCode, String> {
 /// except `wall_ms`). Per-run progress goes to stderr so the JSON
 /// stays clean.
 fn scenario(args: &[String]) -> Result<ExitCode, String> {
+    let own = [
+        "--families",
+        "--sizes",
+        "--seeds",
+        "--algorithms",
+        "--max-weight",
+        "--workers",
+        "--cache-cap",
+        "--out",
+    ];
+    known_flags(args, &[&REQUEST_FLAGS[..], &own].concat(), &[])?;
     fn list<T: std::str::FromStr>(s: &str, what: &str) -> Result<Vec<T>, String> {
         s.split(',')
             .map(|x| x.trim().parse::<T>().map_err(|_| format!("bad {what} entry {x:?}")))
@@ -315,7 +366,7 @@ fn scenario(args: &[String]) -> Result<ExitCode, String> {
     let workers: usize = parse_flag(args, "--workers", 1)?;
     let cache_cap: usize = parse_flag(args, "--cache-cap", 128)?;
     // One flag vocabulary with `solve`: the shared helper parses every
-    // request knob (epsilon/bandwidth/fail-edges/shards/deadline/trace);
+    // request knob (epsilon/bandwidth/fail-edges/deadline/trace);
     // this probe also feeds the sweep header.
     let probe = request_from_flags(args, "probe")?;
     let (epsilon, bandwidth, fail_edges) = (probe.epsilon, probe.bandwidth, probe.fail_edges);
@@ -339,14 +390,7 @@ fn scenario(args: &[String]) -> Result<ExitCode, String> {
     json.push_str(&format!("    \"bandwidth\": {bandwidth},\n"));
     json.push_str(&format!("    \"fail_edges\": {fail_edges},\n"));
     json.push_str(&format!("    \"nproc\": {nproc},\n"));
-    json.push_str(&format!("    \"workers\": {workers},\n"));
-    // The effective per-run pool: the `--shards` hint after worker
-    // clamping and the per-worker core split (K workers never
-    // oversubscribe the host between them).
-    let pool =
-        decss::congest::ShardPool::with_thread_cap(probe.shards, (nproc / workers.max(1)).max(1));
-    json.push_str(&format!("    \"shards\": {},\n", probe.shards));
-    json.push_str(&format!("    \"pool\": \"{pool}\"\n"));
+    json.push_str(&format!("    \"workers\": {workers}\n"));
     json.push_str("  },\n  \"runs\": [\n");
 
     // The whole grid goes through one SolveService: K warm sessions
@@ -408,7 +452,7 @@ fn scenario(args: &[String]) -> Result<ExitCode, String> {
             std::fs::write(path, &json).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("scenario: wrote {} runs to {path}", rows.len());
         }
-        None => print!("{json}"),
+        None => out!("{json}"),
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -423,12 +467,29 @@ fn scenario(args: &[String]) -> Result<ExitCode, String> {
 /// exit status is 2 when some jobs failed (0 under `--keep-going`), 1
 /// only for infrastructure errors.
 fn serve(args: &[String]) -> Result<ExitCode, String> {
+    const SERVICE: [&str; 3] = ["--workers", "--cache-cap", "--queue-cap"];
     if let Some(listen) = flag(args, "--listen") {
+        let own = [
+            "--listen",
+            "--max-conns",
+            "--read-timeout-ms",
+            "--write-timeout-ms",
+            "--quota-rps",
+            "--quota-burst",
+            "--grace-ms",
+            "--restore",
+            "--snapshot",
+            "--snapshot-interval-ms",
+        ];
+        known_flags(args, &[&SERVICE[..], &own].concat(), &[])?;
         return serve_network(args, listen);
     }
     if let Some(trace_path) = flag(args, "--trace") {
+        known_flags(args, &[&SERVICE[..], &["--trace", "--out"]].concat(), &["--pace"])?;
         return serve_trace(args, trace_path);
     }
+    let own = ["--jobs", "--out", "--restore", "--snapshot"];
+    known_flags(args, &[&SERVICE[..], &own].concat(), &["--keep-going"])?;
     let jobs_path = flag(args, "--jobs")
         .ok_or("--jobs FILE.json, --trace FILE.jsonl, or --listen ADDR is required")?;
     let text =
@@ -498,7 +559,7 @@ fn serve(args: &[String]) -> Result<ExitCode, String> {
                 summary.stats.cache_hits
             );
         }
-        None => print!("{json}"),
+        None => out!("{json}"),
     }
     summary.audit.map_err(|e| format!("service log audit failed: {e}"))?;
     if failed > 0 {
@@ -540,7 +601,7 @@ fn serve_trace(args: &[String], trace_path: &str) -> Result<ExitCode, String> {
             std::fs::write(path, &outcome.document).map_err(|e| format!("writing {path}: {e}"))?;
             eprintln!("serve: wrote {} trace-job reports to {path}", outcome.jobs);
         }
-        None => print!("{}", outcome.document),
+        None => out!("{}", outcome.document),
     }
     if outcome.failed > 0 {
         eprintln!(
@@ -563,6 +624,11 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(|s| s.as_str()) {
         Some("gen") => {
             let args = &args[1..];
+            known_flags(
+                args,
+                &["--seed", "--jobs", "--arrival", "--mean-gap-ms", "--out"],
+                &[],
+            )?;
             let defaults = GenConfig::default();
             let cfg = GenConfig {
                 seed: parse_flag(args, "--seed", defaults.seed)?,
@@ -582,12 +648,21 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
                     std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
                     eprintln!("trace: wrote {} events to {path}", cfg.jobs);
                 }
-                None => print!("{text}"),
+                None => out!("{text}"),
             }
             Ok(ExitCode::SUCCESS)
         }
         Some("replay") => {
             let args = &args[1..];
+            let valued = [
+                "--input",
+                "--target",
+                "--workers",
+                "--cache-cap",
+                "--queue-cap",
+                "--out",
+            ];
+            known_flags(args, &valued, &["--pace"])?;
             let input = flag(args, "--input").ok_or("--input FILE.jsonl is required")?;
             let text =
                 std::fs::read_to_string(input).map_err(|e| format!("reading {input}: {e}"))?;
@@ -602,7 +677,7 @@ fn trace_cmd(args: &[String]) -> Result<ExitCode, String> {
                         .map_err(|e| format!("writing {path}: {e}"))?;
                     eprintln!("trace: wrote {} replay reports to {path}", outcome.jobs);
                 }
-                None => print!("{}", outcome.document),
+                None => out!("{}", outcome.document),
             }
             if outcome.failed > 0 {
                 eprintln!(
@@ -705,6 +780,15 @@ fn serve_network(args: &[String], listen: &str) -> Result<ExitCode, String> {
 /// dies. SIGTERM drains the front tier and prints the per-backend
 /// accounting. Exits 0 on a clean drain.
 fn shard(args: &[String]) -> Result<ExitCode, String> {
+    let valued = [
+        "--listen",
+        "--backends",
+        "--max-conns",
+        "--probe-interval-ms",
+        "--forward-timeout-ms",
+        "--grace-ms",
+    ];
+    known_flags(args, &valued, &[])?;
     let listen = flag(args, "--listen").ok_or("--listen ADDR is required")?;
     let backends: Vec<String> = flag(args, "--backends")
         .ok_or("--backends ADDR[,ADDR...] is required")?
@@ -760,6 +844,8 @@ fn shard(args: &[String]) -> Result<ExitCode, String> {
 /// freedom, and clean audit. Exits 0 on a contract-clean run, 1
 /// otherwise.
 fn netstress(args: &[String]) -> Result<ExitCode, String> {
+    let valued = ["--seed", "--ops", "--threads", "--workers", "--queue-cap"];
+    known_flags(args, &valued, &["--faults"])?;
     let mut config = StressConfig::default();
     config.seed = parse_flag(args, "--seed", config.seed)?;
     config.ops = parse_flag(args, "--ops", config.ops)?;
@@ -773,7 +859,7 @@ fn netstress(args: &[String]) -> Result<ExitCode, String> {
         config.net = config.net.clone().fault(stress::default_fault_plan());
     }
     let report = stress::chaos(config);
-    print!("{}", report.render());
+    out!("{}", report.render());
     Ok(if report.passed() {
         ExitCode::SUCCESS
     } else {
@@ -782,6 +868,7 @@ fn netstress(args: &[String]) -> Result<ExitCode, String> {
 }
 
 fn verify(args: &[String]) -> Result<ExitCode, String> {
+    known_flags(args, &["--input", "--edges"], &[])?;
     let g = load(args)?;
     let list = flag(args, "--edges").ok_or("--edges ID[,ID...] is required")?;
     let edges: Vec<EdgeId> = list
@@ -812,7 +899,7 @@ fn verify(args: &[String]) -> Result<ExitCode, String> {
         bandwidth: 1,
         ..SolveReport::default()
     };
-    print!("{}", report.render_text());
+    out!("{}", report.render_text());
     if !report.valid {
         return Err("the given edge set is not a spanning 2-edge-connected subgraph".into());
     }

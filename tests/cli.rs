@@ -282,6 +282,45 @@ fn bad_usage_is_reported() {
     assert!(err.contains("reading"));
 }
 
+#[test]
+fn unknown_flags_are_rejected_per_subcommand() {
+    // `--shards` was a solve knob once; it must not be swallowed now.
+    let (_, err, code) = decss_code(&["solve", "--input", "g.graph", "--shards", "2"]);
+    assert_eq!(code, Some(1));
+    assert!(err.contains("unknown flag --shards"), "{err}");
+    assert!(err.contains("usage"), "{err}");
+    let (_, err, code) = decss_code(&["gen", "--family", "grid", "--n", "9", "--bogus", "3"]);
+    assert_eq!(code, Some(1));
+    assert!(err.contains("--bogus"), "{err}");
+    // A flag valid for one subcommand is still unknown to another.
+    let (_, err, code) = decss_code(&["verify", "--input", "g.graph", "--edges", "0", "--json"]);
+    assert_eq!(code, Some(1));
+    assert!(err.contains("--json"), "{err}");
+}
+
+#[test]
+fn closed_stdout_exits_quietly() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    // ~400 KB of output: far more than a pipe buffer, so the writer is
+    // still blocked when the reader hangs up after one line.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_decss"))
+        .args(["gen", "--family", "grid", "--n", "20000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("first line");
+    assert!(first.starts_with("p "), "{first}");
+    let out = child.wait_with_output().expect("binary exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a truncated write must not report success");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 /// Like [`decss`] but returns the raw exit code — the batch exit
 /// contract distinguishes partial failure (2) from infrastructure
 /// errors (1).
