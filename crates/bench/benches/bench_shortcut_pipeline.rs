@@ -3,8 +3,10 @@
 //! reference paths (`decss_shortcuts::naive`, `NaiveCoverEngine`):
 //!
 //! * `construct` — per-level shortcut measurement over the fragment
-//!   hierarchy (partitions + both constructions), the dominant cost of
-//!   `ScTools::new`; `naive` rows run the old `HashMap`-based path.
+//!   hierarchy (partitions + the cheaper construction, with
+//!   tree-restricted measured only as far as it could still win), the
+//!   dominant cost of `ScTools::new`; `naive` rows run the old
+//!   `HashMap`-based path, which measures both constructions in full.
 //! * `fragments` — the hierarchy build alone (flat arena vs per-spine
 //!   `Vec`s).
 //! * `cover_engine` — four aggregate invocations on a prebuilt engine
@@ -64,8 +66,8 @@ fn prepare(family: &str, n: usize) -> Prepared {
     Prepared { g, tree, hld, bfs }
 }
 
-/// The flat construction path: hierarchy + per-level partitions + both
-/// shortcut constructions, all on one reused workspace.
+/// The flat construction path: hierarchy + per-level partitions +
+/// `best_shortcut_ws`, all on one reused workspace.
 fn flat_level_quality(p: &Prepared, ws: &mut ShortcutWorkspace) -> Vec<ShortcutQuality> {
     let h = FragmentHierarchy::new(&p.tree, &p.hld);
     (0..h.num_levels())

@@ -11,6 +11,7 @@
 use crate::algo::connectivity::UnionFind;
 use crate::edge::EdgeId;
 use crate::graph::Graph;
+use crate::weight::Weight;
 use std::fmt;
 
 /// Error returned when the graph has no spanning tree.
@@ -34,10 +35,33 @@ impl std::error::Error for MstError {}
 /// Returns [`MstError`] if the graph is disconnected.
 pub fn minimum_spanning_tree(g: &Graph) -> Result<Vec<EdgeId>, MstError> {
     let mut order: Vec<EdgeId> = g.edge_ids().collect();
-    order.sort_by_key(|&id| (g.weight(id), id));
+    sort_kruskal(g, &mut order);
+    kruskal_scan(g, &order)
+}
+
+/// Sorts `ids` into Kruskal order, by `(weight, id)`.
+///
+/// Sorts precomputed `(weight, id)` pairs, so the comparisons never
+/// chase an id into the edge table; ids are unique, so the unstable
+/// sort yields the one total order.
+pub fn sort_kruskal(g: &Graph, ids: &mut [EdgeId]) {
+    let mut keyed: Vec<(Weight, EdgeId)> = ids.iter().map(|&id| (g.weight(id), id)).collect();
+    keyed.sort_unstable();
+    for (slot, (_, id)) in ids.iter_mut().zip(keyed) {
+        *slot = id;
+    }
+}
+
+/// The Kruskal union-find scan over ids already in [`sort_kruskal`]
+/// order. Returns the tree's edge ids sorted by id.
+///
+/// # Errors
+///
+/// Returns [`MstError`] if the graph is disconnected.
+pub fn kruskal_scan(g: &Graph, sorted: &[EdgeId]) -> Result<Vec<EdgeId>, MstError> {
     let mut uf = UnionFind::new(g.n());
     let mut tree = Vec::with_capacity(g.n().saturating_sub(1));
-    for id in order {
+    for &id in sorted {
         let e = g.edge(id);
         if uf.union(e.u.index(), e.v.index()) {
             tree.push(id);
@@ -91,6 +115,20 @@ mod tests {
         let g = Graph::from_edges(3, [(0, 1, 1)]).unwrap();
         assert_eq!(minimum_spanning_tree(&g), Err(MstError));
         assert!(!format!("{MstError}").is_empty());
+    }
+
+    #[test]
+    fn kruskal_order_matches_a_stable_key_sort() {
+        let g = Graph::from_edges(
+            5,
+            [(0, 1, 4), (1, 2, 2), (2, 3, 4), (3, 4, 1), (4, 0, 2), (0, 2, 4)],
+        )
+        .unwrap();
+        let mut got: Vec<EdgeId> = g.edge_ids().collect();
+        sort_kruskal(&g, &mut got);
+        let mut want: Vec<EdgeId> = g.edge_ids().collect();
+        want.sort_by_key(|&id| (g.weight(id), id));
+        assert_eq!(got, want);
     }
 
     #[test]

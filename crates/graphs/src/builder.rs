@@ -3,6 +3,7 @@
 use crate::edge::{Edge, VertexId};
 use crate::graph::{Graph, GraphError};
 use crate::weight::Weight;
+use std::collections::HashSet;
 
 /// Builder for [`Graph`], validating each edge as it is added.
 ///
@@ -21,12 +22,16 @@ use crate::weight::Weight;
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<Edge>,
+    /// The normalised endpoint pairs of `edges`: built by the first
+    /// parallel-edge query, kept in step by every later insertion, so
+    /// the generators' dedup loops stay linear instead of quadratic.
+    pairs: Option<HashSet<(VertexId, VertexId)>>,
 }
 
 impl GraphBuilder {
     /// Starts a builder for a graph with `n` vertices (`0..n`).
     pub fn new(n: usize) -> Self {
-        GraphBuilder { n, edges: Vec::new() }
+        GraphBuilder { n, edges: Vec::new(), pairs: None }
     }
 
     /// Adds an undirected edge `{u, v}` with the given weight.
@@ -45,7 +50,11 @@ impl GraphBuilder {
         if u == v {
             return Err(GraphError::SelfLoop { vertex: u });
         }
-        self.edges.push(Edge::new(u, v, weight));
+        let e = Edge::new(u, v, weight);
+        if let Some(pairs) = &mut self.pairs {
+            pairs.insert((e.u, e.v));
+        }
+        self.edges.push(e);
         Ok(self)
     }
 
@@ -56,18 +65,22 @@ impl GraphBuilder {
     ///
     /// Same as [`GraphBuilder::add_edge`].
     pub fn add_edge_dedup(&mut self, u: u32, v: u32, weight: Weight) -> Result<bool, GraphError> {
-        let e = Edge::new(VertexId(u), VertexId(v), weight);
-        if self.edges.iter().any(|x| x.u == e.u && x.v == e.v) {
+        if self.has_edge(u, v) {
             return Ok(false);
         }
         self.add_edge(u, v, weight)?;
         Ok(true)
     }
 
-    /// Whether an edge between `u` and `v` already exists (ignoring weight).
-    pub fn has_edge(&self, u: u32, v: u32) -> bool {
+    /// Whether an edge between `u` and `v` already exists (ignoring
+    /// weight). The first query indexes the edges added so far; later
+    /// queries and insertions are `O(1)` expected.
+    pub fn has_edge(&mut self, u: u32, v: u32) -> bool {
         let e = Edge::new(VertexId(u), VertexId(v), 0);
-        self.edges.iter().any(|x| x.u == e.u && x.v == e.v)
+        let edges = &self.edges;
+        self.pairs
+            .get_or_insert_with(|| edges.iter().map(|x| (x.u, x.v)).collect())
+            .contains(&(e.u, e.v))
     }
 
     /// Number of edges added so far.
@@ -108,6 +121,11 @@ mod tests {
         assert!(b.add_edge_dedup(0, 1, 1).unwrap());
         assert!(!b.add_edge_dedup(1, 0, 9).unwrap());
         assert_eq!(b.m(), 1);
+        // Plain insertions after the first query stay visible to it.
+        b.add_edge(2, 1, 4).unwrap();
+        assert!(!b.add_edge_dedup(1, 2, 9).unwrap());
+        assert!(b.add_edge_dedup(0, 2, 9).unwrap());
+        assert_eq!(b.m(), 3);
     }
 
     #[test]

@@ -500,6 +500,10 @@ impl NetServer {
     /// Exports the warm state and writes it to the configured snapshot
     /// path, recording the outcome for `/stats`. Callers arm this only
     /// when a path is configured.
+    ///
+    /// The `last_write` lock is held across the write: the atomic rename
+    /// makes the file visible before the outcome is recorded, so a
+    /// `/stats` read that sees the new file must wait for its record.
     fn write_warm_snapshot(&self) -> Result<u64, String> {
         let path = self
             .config
@@ -507,10 +511,10 @@ impl NetServer {
             .snapshot_path
             .as_ref()
             .expect("snapshot path configured");
-        let result = decss_persist::write_snapshot(path, &self.service.export_warm_state())
-            .map_err(|e| e.to_string());
-        *self.persist.last_write.lock().expect("persist lock") =
-            Some(LastSnapshotWrite { at: Instant::now(), ok: result.is_ok() });
+        let state = self.service.export_warm_state();
+        let mut last_write = self.persist.last_write.lock().expect("persist lock");
+        let result = decss_persist::write_snapshot(path, &state).map_err(|e| e.to_string());
+        *last_write = Some(LastSnapshotWrite { at: Instant::now(), ok: result.is_ok() });
         result
     }
 

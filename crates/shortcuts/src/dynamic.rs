@@ -46,7 +46,7 @@ use crate::tools::ScTools;
 use crate::twoecss::{NotTwoEdgeConnected, ShortcutConfig, ShortcutResult};
 use crate::workspace::ShortcutWorkspace;
 use decss_congest::ledger::RoundLedger;
-use decss_graphs::algo::{self, BfsTree, UnionFind};
+use decss_graphs::algo::{self, BfsTree};
 use decss_graphs::fingerprint::FingerprintAcc;
 use decss_graphs::{EdgeId, Graph, VertexId, Weight};
 use decss_tree::{EulerTour, HeavyLight, RootedTree};
@@ -273,8 +273,8 @@ impl SolvedState {
     /// Full build from scratch; `None` if `g` is disconnected.
     fn build(g: &Graph, ws: &mut ShortcutWorkspace) -> Option<SolvedState> {
         let mut sorted: Vec<EdgeId> = g.edge_ids().collect();
-        sorted.sort_by_key(|&id| (g.weight(id), id));
-        let tree_ids = kruskal_scan(g, &sorted)?;
+        algo::sort_kruskal(g, &mut sorted);
+        let tree_ids = algo::kruskal_scan(g, &sorted).ok()?;
         Some(SolvedState::from_tree(g, sorted, tree_ids, ws))
     }
 
@@ -325,29 +325,6 @@ fn endpoint_pairs(g: &Graph, ids: &[EdgeId]) -> Vec<(VertexId, VertexId)> {
             (e.u, e.v)
         })
         .collect()
-}
-
-/// The Kruskal union-find scan over an already-sorted order —
-/// byte-identical to `decss_graphs::algo::minimum_spanning_tree` when
-/// `sorted` is the `(weight, id)` order. Returns the tree's ids sorted
-/// by id, or `None` if `g` is disconnected.
-fn kruskal_scan(g: &Graph, sorted: &[EdgeId]) -> Option<Vec<EdgeId>> {
-    let mut uf = UnionFind::new(g.n());
-    let mut tree = Vec::with_capacity(g.n().saturating_sub(1));
-    for &id in sorted {
-        let e = g.edge(id);
-        if uf.union(e.u.index(), e.v.index()) {
-            tree.push(id);
-            if tree.len() + 1 == g.n() {
-                break;
-            }
-        }
-    }
-    if tree.len() + 1 != g.n() {
-        return None;
-    }
-    tree.sort_unstable();
-    Some(tree)
 }
 
 /// Merges the retained Kruskal order with a small set of changed edges.
@@ -507,14 +484,14 @@ impl DynamicInstance {
             return;
         };
         let mut changed = changed_ids;
-        changed.sort_by_key(|&id| (self.graph.weight(id), id));
+        algo::sort_kruskal(&self.graph, &mut changed);
         let survivors = state
             .sorted
             .iter()
             .copied()
             .filter(|id| plan.new_weight[id.index()].is_none());
         let sorted = merge_sorted(&self.graph, survivors, &changed);
-        match kruskal_scan(&self.graph, &sorted) {
+        match algo::kruskal_scan(&self.graph, &sorted).ok() {
             Some(tree_ids) if tree_ids == state.tree_ids => {
                 // Same tree: reuse the whole decomposition, zero parts
                 // dirty (no radius ever reads a weight).
@@ -580,14 +557,14 @@ fn update_structural(
         .map(|old| EdgeId(id_map[old]))
         .collect();
     changed.extend((0..plan.inserts.len()).map(|j| EdgeId((survivor_count + j) as u32)));
-    changed.sort_by_key(|&id| (g2.weight(id), id));
+    algo::sort_kruskal(g2, &mut changed);
     let survivors = state
         .sorted
         .iter()
         .filter(|id| !plan.deleted[id.index()] && plan.new_weight[id.index()].is_none())
         .map(|&id| EdgeId(id_map[id.index()]));
     let sorted = merge_sorted(g2, survivors, &changed);
-    let tree_ids = kruskal_scan(g2, &sorted)?;
+    let tree_ids = algo::kruskal_scan(g2, &sorted).ok()?;
     let tree_pairs = endpoint_pairs(g2, &tree_ids);
     if tree_pairs != state.tree_pairs {
         return None; // the MST changed shape: unlocalizable

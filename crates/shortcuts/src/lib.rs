@@ -18,8 +18,9 @@
 //! * [`partition::Partition`] — validated vertex partitions,
 //! * [`shortcut`] — two measured constructions (threshold-BFS with the
 //!   worst-case `O(D + √n)` guarantee, and tree-restricted Steiner
-//!   shortcuts which are near-`D` on well-behaved families); the better
-//!   of the two is used per partition,
+//!   shortcuts which are near-`D` on well-behaved families); the cheaper
+//!   of the two is used per partition, and an exact bound stops measuring
+//!   tree-restricted as soon as it can no longer win,
 //! * [`fragments`] — the `O(log n)`-level heavy-path fragment hierarchy
 //!   behind Theorems 5.1/5.2,
 //! * [`tools`] — descendants' sum, ancestors' sum, and the heavy-light

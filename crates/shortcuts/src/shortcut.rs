@@ -15,8 +15,15 @@
 //!   shortcut family of Haeupler–Izumi–Zuzic; on low-treewidth and
 //!   outerplanar-like networks its measured congestion stays near-`D`.
 //!
-//! [`best_shortcut`] evaluates both and returns the better
-//! `(α + β)`-quality one; the experiments report the measured values.
+//! [`best_shortcut`] returns the cheaper `(α + β)`-quality one,
+//! threshold-BFS winning ties. It measures threshold-BFS in full, then
+//! runs the tree-restricted pass part by part under an exact
+//! branch-and-bound: the running maximum edge load + 1 and the running
+//! maximum radius (seeded with the big parts' threshold-BFS radii) never
+//! exceed the final `α` and `β`, so the pass is abandoned as soon as
+//! their sum reaches threshold-BFS's cost — without changing the chosen
+//! scheme or its measured values. The experiments report the measured
+//! values.
 //!
 //! The hot paths run on epoch-stamped flat scratch from a
 //! [`ShortcutWorkspace`] (per-part BFS over CSR slices, Steiner unions
@@ -59,7 +66,8 @@ impl ShortcutQuality {
     }
 }
 
-/// Builds both constructions for `partition` and returns the better one.
+/// The cheaper of the two constructions for `partition`, threshold-BFS
+/// winning ties.
 ///
 /// `bfs` must be a spanning BFS tree of `g` (the shortcut backbone).
 pub fn best_shortcut(g: &Graph, bfs: &BfsTree, partition: &Partition) -> ShortcutQuality {
@@ -68,18 +76,40 @@ pub fn best_shortcut(g: &Graph, bfs: &BfsTree, partition: &Partition) -> Shortcu
 
 /// [`best_shortcut`] reusing a caller-held workspace (the form the
 /// fragment-hierarchy loop uses: one workspace across all levels).
+///
+/// Threshold-BFS is measured first; the tree-restricted pass then runs
+/// under its cost as an exact bound and is abandoned once its running
+/// lower bound `α_partial + β_partial` reaches it. The result always
+/// equals the cheaper of [`threshold_bfs_ws`] and [`tree_restricted_ws`].
 pub fn best_shortcut_ws(
     g: &Graph,
     bfs: &BfsTree,
     partition: &Partition,
     ws: &mut ShortcutWorkspace,
 ) -> ShortcutQuality {
-    let a = threshold_bfs_ws(g, bfs, partition, ws);
-    let b = tree_restricted_ws(g, bfs, partition, ws);
-    if a.cost() <= b.cost() {
-        a
-    } else {
-        b
+    let mut beta = 0u32;
+    // A big part's Steiner edges are a subset of the BFS tree threshold-
+    // BFS hands it, so its tree-restricted radius is at least this one.
+    let mut big_beta = 0u32;
+    let alpha = threshold_pass(g, bfs, partition, ws, |radius, big| {
+        beta = beta.max(radius);
+        if big {
+            big_beta = big_beta.max(radius);
+        }
+    });
+    let thr = ShortcutQuality { alpha, beta, scheme: ShortcutScheme::ThresholdBfs };
+    let bound = Bound { cost: thr.cost(), beta_floor: big_beta };
+    let mut tr_beta = 0u32;
+    match tree_restricted_pass(g, bfs, partition, ws, Some(bound), |radius| {
+        tr_beta = tr_beta.max(radius)
+    }) {
+        Some(alpha) => {
+            let tr =
+                ShortcutQuality { alpha, beta: tr_beta, scheme: ShortcutScheme::TreeRestricted };
+            debug_assert!(tr.cost() < thr.cost());
+            tr
+        }
+        None => thr,
     }
 }
 
@@ -95,35 +125,8 @@ pub fn threshold_bfs_ws(
     partition: &Partition,
     ws: &mut ShortcutWorkspace,
 ) -> ShortcutQuality {
-    ws.ensure(g);
-    let threshold = (g.n() as f64).sqrt().ceil() as usize;
-    // Stamp the BFS tree once: every big part shares it as `H_i`.
-    let tree_epoch = ws.bump();
-    let mut tree_edges = 0u32;
-    for e in bfs.tree_edges() {
-        ws.estamp[e.index()] = tree_epoch;
-        tree_edges += 1;
-    }
     let mut beta = 0u32;
-    let mut big_parts = 0u32;
-    for pi in 0..partition.len() {
-        let part = partition.part(pi);
-        let hi_epoch = if part.len() >= threshold {
-            big_parts += 1;
-            Some(tree_epoch)
-        } else {
-            None
-        };
-        beta = beta.max(part_radius_ws(g, partition, pi, hi_epoch, ws));
-    }
-    // Each big part loads every BFS-tree edge exactly once, so the
-    // maximum tree-edge load is the number of big parts; induced edges
-    // count once for their own part.
-    let alpha = if big_parts > 0 && tree_edges > 0 {
-        big_parts + 1
-    } else {
-        1
-    };
+    let alpha = threshold_pass(g, bfs, partition, ws, |radius, _| beta = beta.max(radius));
     ShortcutQuality { alpha, beta, scheme: ShortcutScheme::ThresholdBfs }
 }
 
@@ -139,13 +142,84 @@ pub fn tree_restricted_ws(
     partition: &Partition,
     ws: &mut ShortcutWorkspace,
 ) -> ShortcutQuality {
+    let mut beta = 0u32;
+    let alpha = tree_restricted_pass(g, bfs, partition, ws, None, |radius| beta = beta.max(radius))
+        .expect("an unbounded pass always completes");
+    ShortcutQuality { alpha, beta, scheme: ShortcutScheme::TreeRestricted }
+}
+
+/// The threshold-BFS pass: reports every part's radius, in part order,
+/// with whether the part is big (`|V_i| ≥ ⌈√n⌉`, so `H_i` is the whole
+/// BFS tree), and returns `α`.
+fn threshold_pass(
+    g: &Graph,
+    bfs: &BfsTree,
+    partition: &Partition,
+    ws: &mut ShortcutWorkspace,
+    mut on_part: impl FnMut(u32, bool),
+) -> u32 {
+    ws.ensure(g);
+    let threshold = (g.n() as f64).sqrt().ceil() as usize;
+    // Stamp the BFS tree once: every big part shares it as `H_i`.
+    let tree_epoch = ws.bump();
+    let mut tree_edges = 0u32;
+    for e in bfs.tree_edges() {
+        ws.estamp[e.index()] = tree_epoch;
+        tree_edges += 1;
+    }
+    let mut big_parts = 0u32;
+    for pi in 0..partition.len() {
+        let big = partition.part(pi).len() >= threshold;
+        if big {
+            big_parts += 1;
+        }
+        let hi_epoch = big.then_some(tree_epoch);
+        on_part(part_radius_ws(g, partition, pi, hi_epoch, ws), big);
+    }
+    // Each big part loads every BFS-tree edge exactly once, so the
+    // maximum tree-edge load is the number of big parts; induced edges
+    // count once for their own part.
+    if big_parts > 0 && tree_edges > 0 {
+        big_parts + 1
+    } else {
+        1
+    }
+}
+
+/// The cost a bounded tree-restricted pass has to beat.
+#[derive(Clone, Copy, Debug)]
+struct Bound {
+    /// The rival construction's `α + β`; reaching it abandons the pass.
+    cost: u64,
+    /// A proven lower bound on the pass's final `β`, seeding `β_partial`.
+    beta_floor: u32,
+}
+
+/// The tree-restricted pass: reports every part's radius, in part order,
+/// and returns `α` (maximum Steiner edge load + 1).
+///
+/// With a [`Bound`], returns `None` as soon as the running lower bound
+/// `α_partial + β_partial` reaches `bound.cost`, where `α_partial` is the
+/// maximum load so far + 1 and `β_partial` the maximum radius so far
+/// (seeded with `bound.beta_floor`); both only grow towards the final
+/// `α` and `β`, so an abandoned pass could not have been strictly cheaper.
+fn tree_restricted_pass(
+    g: &Graph,
+    bfs: &BfsTree,
+    partition: &Partition,
+    ws: &mut ShortcutWorkspace,
+    bound: Option<Bound>,
+    mut on_part: impl FnMut(u32),
+) -> Option<u32> {
     ws.ensure(g);
     let load_epoch = ws.bump();
-    ws.touched.clear();
-    let mut beta = 0u32;
+    let mut max_load = 0u32;
+    let mut beta = bound.map_or(0, |b| b.beta_floor);
+    let reached = |max_load: u32, beta: u32| {
+        bound.is_some_and(|b| (max_load as u64 + 1) + beta as u64 >= b.cost)
+    };
     for pi in 0..partition.len() {
-        let part = partition.part(pi);
-        let hi_epoch = steiner_into(bfs, part, ws);
+        let hi_epoch = steiner_into(bfs, partition.part(pi), ws);
         for k in 0..ws.hi_buf.len() {
             let e = ws.hi_buf[k].index();
             if ws.lstamp[e] == load_epoch {
@@ -153,13 +227,20 @@ pub fn tree_restricted_ws(
             } else {
                 ws.lstamp[e] = load_epoch;
                 ws.eload[e] = 1;
-                ws.touched.push(ws.hi_buf[k]);
             }
+            max_load = max_load.max(ws.eload[e]);
         }
-        beta = beta.max(part_radius_ws(g, partition, pi, Some(hi_epoch), ws));
+        if reached(max_load, beta) {
+            return None;
+        }
+        let radius = part_radius_ws(g, partition, pi, Some(hi_epoch), ws);
+        beta = beta.max(radius);
+        if reached(max_load, beta) {
+            return None;
+        }
+        on_part(radius);
     }
-    let alpha = ws.touched.iter().map(|e| ws.eload[e.index()]).max().unwrap_or(0) + 1;
-    ShortcutQuality { alpha, beta, scheme: ShortcutScheme::TreeRestricted }
+    Some(max_load + 1)
 }
 
 /// Per-part measurement of one level: both constructions' radii plus
@@ -199,8 +280,8 @@ impl LevelRadii {
     }
 }
 
-/// [`best_shortcut_ws`] with the per-part radii captured instead of
-/// folded away — same loops, same `α` formulas, so
+/// Both passes of one level with every part's radius kept (no bound:
+/// a delta may later make the tree-restricted side win), so
 /// `measure_level_radii(..).quality() == best_shortcut_ws(..)` (pinned
 /// by a unit test below).
 pub(crate) fn measure_level_radii(
@@ -209,51 +290,11 @@ pub(crate) fn measure_level_radii(
     partition: &Partition,
     ws: &mut ShortcutWorkspace,
 ) -> LevelRadii {
-    ws.ensure(g);
-    // Threshold-BFS pass (mirrors threshold_bfs_ws).
-    let threshold = (g.n() as f64).sqrt().ceil() as usize;
-    let tree_epoch = ws.bump();
-    let mut tree_edges = 0u32;
-    for e in bfs.tree_edges() {
-        ws.estamp[e.index()] = tree_epoch;
-        tree_edges += 1;
-    }
     let mut thr = Vec::with_capacity(partition.len());
-    let mut big_parts = 0u32;
-    for pi in 0..partition.len() {
-        let hi_epoch = if partition.part(pi).len() >= threshold {
-            big_parts += 1;
-            Some(tree_epoch)
-        } else {
-            None
-        };
-        thr.push(part_radius_ws(g, partition, pi, hi_epoch, ws));
-    }
-    let thr_alpha = if big_parts > 0 && tree_edges > 0 {
-        big_parts + 1
-    } else {
-        1
-    };
-    // Tree-restricted pass (mirrors tree_restricted_ws).
-    let load_epoch = ws.bump();
-    ws.touched.clear();
+    let thr_alpha = threshold_pass(g, bfs, partition, ws, |radius, _| thr.push(radius));
     let mut tr = Vec::with_capacity(partition.len());
-    for pi in 0..partition.len() {
-        let part = partition.part(pi);
-        let hi_epoch = steiner_into(bfs, part, ws);
-        for k in 0..ws.hi_buf.len() {
-            let e = ws.hi_buf[k].index();
-            if ws.lstamp[e] == load_epoch {
-                ws.eload[e] += 1;
-            } else {
-                ws.lstamp[e] = load_epoch;
-                ws.eload[e] = 1;
-                ws.touched.push(ws.hi_buf[k]);
-            }
-        }
-        tr.push(part_radius_ws(g, partition, pi, Some(hi_epoch), ws));
-    }
-    let tr_alpha = ws.touched.iter().map(|e| ws.eload[e.index()]).max().unwrap_or(0) + 1;
+    let tr_alpha = tree_restricted_pass(g, bfs, partition, ws, None, |radius| tr.push(radius))
+        .expect("an unbounded pass always completes");
     LevelRadii { thr, tr, thr_alpha, tr_alpha }
 }
 
@@ -483,6 +524,55 @@ mod tests {
                 crate::naive::tree_restricted(&g, &bfs, &p)
             );
         }
+    }
+
+    #[test]
+    fn the_bound_stops_losing_passes_early() {
+        // Every threshold-BFS win abandons the tree-restricted pass; on
+        // the levels where it loses by a margin, the bound should fire
+        // long before the last part.
+        let mut levels = 0usize;
+        let mut early = 0usize;
+        for seed in 0..4 {
+            for g in [
+                gen::grid(20, 20, 24, seed),
+                gen::road_mesh_two_ec(400, 24, seed),
+                gen::adversarial_shortcut_two_ec(400, 24, seed),
+            ] {
+                let tree = decss_tree::RootedTree::mst(&g);
+                let euler = decss_tree::EulerTour::new(&tree);
+                let hld = decss_tree::HeavyLight::new(&tree, &euler);
+                let h = crate::fragments::FragmentHierarchy::new(&tree, &hld);
+                let bfs = algo::bfs_tree(&g, tree.root());
+                let mut ws = ShortcutWorkspace::new(&g);
+                for d in 0..h.num_levels() {
+                    let p = h.level_partition(&g, d);
+                    let thr = threshold_bfs_ws(&g, &bfs, &p, &mut ws);
+                    let tr = tree_restricted_ws(&g, &bfs, &p, &mut ws);
+                    let mut big_beta = 0;
+                    threshold_pass(&g, &bfs, &p, &mut ws, |r, big| {
+                        if big {
+                            big_beta = big_beta.max(r);
+                        }
+                    });
+                    let bound = Bound { cost: thr.cost(), beta_floor: big_beta };
+                    let mut measured = 0usize;
+                    let alpha =
+                        tree_restricted_pass(&g, &bfs, &p, &mut ws, Some(bound), |_| measured += 1);
+                    assert_eq!(alpha.is_some(), tr.cost() < thr.cost(), "level {d}");
+                    if alpha.is_none() {
+                        levels += 1;
+                        if 2 * measured < p.len() {
+                            early += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            levels > 0 && early * 2 > levels,
+            "{early} of {levels} abandoned early"
+        );
     }
 
     #[test]

@@ -41,7 +41,9 @@ pub struct ScTools<'a> {
 
 impl<'a> ScTools<'a> {
     /// Builds the tools: BFS backbone, HLD, hierarchy, and per-level
-    /// shortcut quality (both constructions measured, best kept).
+    /// shortcut quality (the cheaper construction per level, via
+    /// [`best_shortcut_ws`]'s bound: tree-restricted is measured only
+    /// as far as it could still win).
     pub fn new(graph: &'a Graph, tree: &'a RootedTree) -> Self {
         Self::new_with(graph, tree, &mut ShortcutWorkspace::new(graph))
     }

@@ -35,8 +35,6 @@ pub struct ShortcutWorkspace {
     pub(crate) eload: Vec<u32>,
     /// Stamp array for `eload`.
     pub(crate) lstamp: Vec<u32>,
-    /// Edges touched by the current load accounting (dense max scan).
-    pub(crate) touched: Vec<EdgeId>,
     /// Per-vertex child count inside the current Steiner union.
     pub(crate) child_count: Vec<u32>,
     /// Stamp array for `child_count` / `only_child`.

@@ -10,7 +10,7 @@
 use decss_graphs::algo::bfs_tree;
 use decss_graphs::{gen, Graph};
 use decss_shortcuts::fragments::FragmentHierarchy;
-use decss_shortcuts::shortcut::{threshold_bfs_ws, tree_restricted_ws};
+use decss_shortcuts::shortcut::{best_shortcut_ws, threshold_bfs_ws, tree_restricted_ws};
 use decss_shortcuts::{naive, ShortcutWorkspace};
 use decss_tree::{EulerTour, HeavyLight, RootedTree};
 use proptest::prelude::*;
@@ -110,6 +110,58 @@ proptest! {
             assert_equivalent(&g, &mut ws);
         }
     }
+}
+
+/// The branch-and-bound in `best_shortcut_ws` is exact: on every
+/// hierarchy level it returns the cheaper of the two full constructions,
+/// threshold-BFS winning ties. One workspace runs every call on every
+/// level of every instance, so each bounded call starts from scratch a
+/// previous abandoned pass left dirty.
+#[test]
+fn bounded_best_shortcut_equals_the_cheaper_construction() {
+    let corpus: Vec<(&str, Graph)> = [256usize, 512]
+        .into_iter()
+        .flat_map(|n| {
+            let side = (n as f64).sqrt() as usize;
+            (0u64..6).flat_map(move |seed| {
+                [
+                    ("grid", gen::grid(side, side, 24, seed)),
+                    ("roadmesh", gen::road_mesh_two_ec(n, 24, seed)),
+                    ("hard-sqrt", gen::hard_sqrt_two_ec(n, 24, seed)),
+                    ("adversarial", gen::adversarial_shortcut_two_ec(n, 24, seed)),
+                    ("outerplanar", gen::outerplanar_disk(n, 1.0, 24, seed)),
+                    ("lollipop", gen::lollipop_two_ec(n, 24, seed)),
+                ]
+            })
+        })
+        .collect();
+    let mut ws = ShortcutWorkspace::default();
+    let (mut tree_wins, mut abandoned) = (0usize, 0usize);
+    for (family, g) in &corpus {
+        let tree = RootedTree::mst(g);
+        let euler = EulerTour::new(&tree);
+        let hld = HeavyLight::new(&tree, &euler);
+        let hierarchy = FragmentHierarchy::new(&tree, &hld);
+        let bfs = bfs_tree(g, tree.root());
+        for d in 0..hierarchy.num_levels() {
+            let partition = hierarchy.level_partition(g, d);
+            let best = best_shortcut_ws(g, &bfs, &partition, &mut ws);
+            let thr = threshold_bfs_ws(g, &bfs, &partition, &mut ws);
+            let tr = tree_restricted_ws(g, &bfs, &partition, &mut ws);
+            let cheaper = if thr.cost() <= tr.cost() { thr } else { tr };
+            assert_eq!(best, cheaper, "{family} n={} level {d}", g.n());
+            // A tree-restricted pass that cannot win strictly always ends
+            // through the bound (at the latest after its last part, where
+            // the running bound equals its full cost).
+            if best == tr && thr.cost() > tr.cost() {
+                tree_wins += 1;
+            } else {
+                abandoned += 1;
+            }
+        }
+    }
+    assert!(tree_wins > 0, "no level where tree-restricted wins");
+    assert!(abandoned > 0, "no level where the bound abandons tree-restricted");
 }
 
 /// The n=4096 instances the issue pins (release-CI only: the naive

@@ -33,8 +33,13 @@ pub struct HeavyLight {
     heavy_above: Vec<bool>,
     /// Top vertex of the heavy path containing `v`.
     head: Vec<VertexId>,
-    /// Light edges on the path from `v` to the root, bottom-up.
-    light_edges: Vec<Vec<LightEdge>>,
+    /// Arena of light-edge lists: `light[light_span[v]]` are the light
+    /// edges on the path from `v` to the root, root-most first.
+    light: Vec<LightEdge>,
+    /// `(start, end)` of each vertex's list in `light`. A vertex below a
+    /// heavy edge shares its parent's span; below a light edge it owns a
+    /// copy of its parent's list plus that edge.
+    light_span: Vec<(u32, u32)>,
 }
 
 impl HeavyLight {
@@ -55,7 +60,8 @@ impl HeavyLight {
             }
         }
         let mut head = vec![VertexId(0); n];
-        let mut light_edges: Vec<Vec<LightEdge>> = vec![Vec::new(); n];
+        let mut light = Vec::new();
+        let mut light_span = vec![(0u32, 0u32); n];
         for v in tree.order().iter().copied() {
             match tree.parent(v) {
                 None => {
@@ -64,22 +70,26 @@ impl HeavyLight {
                 Some(p) => {
                     if heavy_above[v.index()] {
                         head[v.index()] = head[p.index()];
-                        light_edges[v.index()] = light_edges[p.index()].clone();
+                        light_span[v.index()] = light_span[p.index()];
                     } else {
                         head[v.index()] = v;
-                        let mut list = light_edges[p.index()].clone();
-                        list.push(LightEdge {
+                        let (start, end) = light_span[p.index()];
+                        let own = light.len();
+                        light.extend_from_within(start as usize..end as usize);
+                        light.push(LightEdge {
                             top: p,
                             bottom: v,
                             top_depth: tree.depth(p),
                             bottom_depth: tree.depth(v),
                         });
-                        light_edges[v.index()] = list;
+                        let offset =
+                            |i: usize| u32::try_from(i).expect("light arena within u32 offsets");
+                        light_span[v.index()] = (offset(own), offset(light.len()));
                     }
                 }
             }
         }
-        HeavyLight { heavy_above, head, light_edges }
+        HeavyLight { heavy_above, head, light, light_span }
     }
 
     /// Whether the edge above `v` is heavy.
@@ -94,12 +104,13 @@ impl HeavyLight {
 
     /// The light edges on the path from `v` to the root, root-most first.
     pub fn light_edges(&self, v: VertexId) -> &[LightEdge] {
-        &self.light_edges[v.index()]
+        let (start, end) = self.light_span[v.index()];
+        &self.light[start as usize..end as usize]
     }
 
     /// Number of light edges above `v` — the "light depth".
     pub fn light_depth(&self, v: VertexId) -> usize {
-        self.light_edges[v.index()].len()
+        self.light_edges(v).len()
     }
 
     /// LCA of `u` and `v` computed *only* from the two light-edge lists
@@ -110,8 +121,8 @@ impl HeavyLight {
     /// diverge; the LCA is the shallower of the two vertices entering the
     /// diverging paths (or of `u`/`v` themselves if a list is exhausted).
     pub fn lca_from_lists(&self, u: VertexId, u_depth: u32, v: VertexId, v_depth: u32) -> VertexId {
-        let lu = &self.light_edges[u.index()];
-        let lv = &self.light_edges[v.index()];
+        let lu = self.light_edges(u);
+        let lv = self.light_edges(v);
         let mut shared = 0usize;
         while shared < lu.len() && shared < lv.len() && lu[shared] == lv[shared] {
             shared += 1;

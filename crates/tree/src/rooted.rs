@@ -8,12 +8,17 @@
 use decss_graphs::{EdgeId, Graph, VertexId};
 
 /// A spanning tree of a graph, rooted and oriented.
+///
+/// Every per-vertex array is flat: the children of `v` are the slice
+/// `order[child_span[v]]`, since the BFS that builds the tree appends a
+/// vertex's children to `order` consecutively.
 #[derive(Clone, Debug)]
 pub struct RootedTree {
     root: VertexId,
     parent: Vec<Option<VertexId>>,
     parent_edge: Vec<Option<EdgeId>>,
-    children: Vec<Vec<VertexId>>,
+    /// `(start, end)` of each vertex's children in `order`.
+    child_span: Vec<(u32, u32)>,
     depth: Vec<u32>,
     /// Vertices in BFS order from the root (parents before children).
     order: Vec<VertexId>,
@@ -23,7 +28,8 @@ pub struct RootedTree {
 
 impl RootedTree {
     /// Builds a rooted tree from `tree_edges`, which must form a spanning
-    /// tree of `g`.
+    /// tree of `g`. Each vertex's neighbours (and hence its children) are
+    /// visited in `tree_edges` order.
     ///
     /// # Panics
     ///
@@ -39,41 +45,59 @@ impl RootedTree {
         );
         let n = g.n();
         let mut is_tree_edge = vec![false; g.m()];
-        let mut adj: Vec<Vec<(EdgeId, VertexId)>> = vec![Vec::new(); n];
+        // CSR adjacency, filled in `tree_edges` order.
+        let mut adj_start = vec![0u32; n + 1];
         for &id in tree_edges {
             assert!(!is_tree_edge[id.index()], "duplicate tree edge {id}");
             is_tree_edge[id.index()] = true;
             let e = g.edge(id);
-            adj[e.u.index()].push((id, e.v));
-            adj[e.v.index()].push((id, e.u));
+            adj_start[e.u.index() + 1] += 1;
+            adj_start[e.v.index() + 1] += 1;
+        }
+        for v in 0..n {
+            adj_start[v + 1] += adj_start[v];
+        }
+        let mut fill = adj_start.clone();
+        let mut adj = vec![(EdgeId(0), VertexId(0)); 2 * tree_edges.len()];
+        for &id in tree_edges {
+            let e = g.edge(id);
+            adj[fill[e.u.index()] as usize] = (id, e.v);
+            fill[e.u.index()] += 1;
+            adj[fill[e.v.index()] as usize] = (id, e.u);
+            fill[e.v.index()] += 1;
         }
         let mut parent = vec![None; n];
         let mut parent_edge = vec![None; n];
-        let mut children: Vec<Vec<VertexId>> = vec![Vec::new(); n];
+        let mut child_span = vec![(0u32, 0u32); n];
         let mut depth = vec![0u32; n];
-        let mut order = Vec::with_capacity(n);
         let mut seen = vec![false; n];
         seen[root.index()] = true;
-        let mut queue = std::collections::VecDeque::from([root]);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            for &(e, w) in &adj[v.index()] {
+        // `order` doubles as the BFS queue.
+        let mut order = Vec::with_capacity(n);
+        order.push(root);
+        let mut head = 0usize;
+        while head < order.len() {
+            let v = order[head];
+            head += 1;
+            let first_child = order.len() as u32;
+            let (lo, hi) = (adj_start[v.index()] as usize, adj_start[v.index() + 1] as usize);
+            for &(e, w) in &adj[lo..hi] {
                 if !seen[w.index()] {
                     seen[w.index()] = true;
                     parent[w.index()] = Some(v);
                     parent_edge[w.index()] = Some(e);
                     depth[w.index()] = depth[v.index()] + 1;
-                    children[v.index()].push(w);
-                    queue.push_back(w);
+                    order.push(w);
                 }
             }
+            child_span[v.index()] = (first_child, order.len() as u32);
         }
         assert_eq!(order.len(), n, "tree edges do not span the graph");
         RootedTree {
             root,
             parent,
             parent_edge,
-            children,
+            child_span,
             depth,
             order,
             is_tree_edge,
@@ -113,7 +137,8 @@ impl RootedTree {
 
     /// Children of `v`.
     pub fn children(&self, v: VertexId) -> &[VertexId] {
-        &self.children[v.index()]
+        let (start, end) = self.child_span[v.index()];
+        &self.order[start as usize..end as usize]
     }
 
     /// Depth of `v` (root has depth 0).
@@ -146,7 +171,7 @@ impl RootedTree {
     /// Whether `v` is a *junction*: it has more than one child
     /// (Section 3.2).
     pub fn is_junction(&self, v: VertexId) -> bool {
-        self.children[v.index()].len() > 1
+        self.children(v).len() > 1
     }
 
     /// The vertices of the path from `v` up to (and including) `anc`.
